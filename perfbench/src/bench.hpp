@@ -4,13 +4,18 @@
 // program under test is reached only through its public headers.
 #pragma once
 
+#include <malloc.h>
+#include <sys/mman.h>
 #include <sys/resource.h>
+#include <time.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <new>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -44,10 +49,33 @@ inline bool objective_matches(double got, double want) {
   return (diff < 0 ? -diff : diff) <= 1e-9 * scale;
 }
 
+/// Allocator of the benchmark's own sample buffers: pages straight from
+/// mmap, so the samples a run piles up stay out of the heap the program
+/// is measured by (live_heap_mb).
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    void* p = mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(p);
+  }
+  void deallocate(T* p, std::size_t n) { munmap(p, n * sizeof(T)); }
+  friend bool operator==(const PageAllocator&, const PageAllocator&) { return true; }
+  friend bool operator!=(const PageAllocator&, const PageAllocator&) { return false; }
+};
+
 /// Order statistics over a sample vector (sorted lazily, in place).
 class Samples {
  public:
   void add(double v) { v_.push_back(v); }
+  void scale(double f) {
+    for (double& x : v_) x *= f;
+  }
   void append(const Samples& o) { v_.insert(v_.end(), o.v_.begin(), o.v_.end()); }
   [[nodiscard]] std::size_t size() const { return v_.size(); }
   [[nodiscard]] double at(std::size_t i) const { return v_[i]; }
@@ -75,7 +103,7 @@ class Samples {
   [[nodiscard]] double tail() { return quantile(tail_quantile()); }
 
  private:
-  std::vector<double> v_;
+  std::vector<double, PageAllocator<double>> v_;
 };
 
 /// The named metric sheet one run prints, in insertion order.
@@ -183,6 +211,70 @@ inline double process_cpu_s() {
     return static_cast<double>(tv.tv_sec) + static_cast<double>(tv.tv_usec) * 1e-6;
   };
   return secs(ru.ru_utime) + secs(ru.ru_stime);
+}
+
+/// CPU seconds the calling thread has run so far.
+inline double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+/// Doubles the host probe formats.
+inline constexpr std::size_t kProbeValues = 128;
+
+/// The host-speed probe: a fixed piece of work on the library path the
+/// service's request path spends its time in (format doubles through an
+/// ostringstream at precision 17, as instances are serialized, then hash
+/// the text), run once to warm the caches and once timed in the calling
+/// thread's CPU time, so preemption does not count.  On a shared host a
+/// thread's speed drifts by tens of percent within a minute; reading
+/// this probe beside the program's work, in the same thread and slice,
+/// measures that drift so the timings can be scaled out of it.
+inline double host_probe_us() {
+  static const std::vector<double> values = [] {
+    std::vector<double> v(kProbeValues);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (double& d : v) {
+      x ^= x << 13, x ^= x >> 7, x ^= x << 17;
+      d = static_cast<double>(x >> 11) * 0x1p-40;
+    }
+    return v;
+  }();
+  static volatile std::uint64_t sink = 0;
+  double t0 = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    t0 = thread_cpu_s();
+    std::ostringstream out;
+    out.precision(17);
+    for (double v : values) out << v << ' ';
+    const std::string text = out.str();
+    std::uint64_t h = 1469598103934665603ull;
+    for (char c : text) h = (h ^ static_cast<unsigned char>(c)) * 1099511628211ull;
+    sink = sink + h;
+  }
+  return (thread_cpu_s() - t0) * 1e6;
+}
+
+/// Median of `n` host_probe_us() readings taken back to back.
+inline double probe_median(int n) {
+  Samples s;
+  for (int i = 0; i < n; ++i) s.add(host_probe_us());
+  return s.median();
+}
+
+/// The reference host: timings are reported as they would read on a
+/// host where host_probe_us() reads this many microseconds (a shared
+/// 4-vCPU x86-64 VM read 45-62 us in its fast spells).  A timing t
+/// measured beside a probe reading p is reported as t * kRefProbeUs / p.
+inline constexpr double kRefProbeUs = 80.0;
+
+/// Heap bytes the program holds live now (allocated and not yet freed,
+/// mmapped blocks included), in MiB: unlike resident memory, this does
+/// not depend on how much freed memory the allocator keeps cached.
+inline double live_heap_mb() {
+  const struct mallinfo2 mi = mallinfo2();
+  return static_cast<double>(mi.uordblks + mi.hblkhd) / (1024.0 * 1024.0);
 }
 
 /// Peak resident set size of the process, in MiB.

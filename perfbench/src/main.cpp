@@ -224,31 +224,54 @@ std::vector<double> group_p99s(const std::vector<Slice>& slices) {
   return out;
 }
 
-/// Throughput, median latency and CPU per operation are medians over the
-/// phase's slices when it has them, which keeps a short stall from moving
-/// the whole run.  So is the tail when the slices hold enough samples for
-/// a p99 (see group_p99s); otherwise it is the highest percentile of all
-/// samples with ten beyond it.
+/// Timings, and a closed loop's throughput, are scaled to the reference
+/// host (see kRefProbeUs) by the host-probe readings taken in the same
+/// slice, or, for a phase without them (cold_mix), by probes this thread
+/// reads right after it.  Throughput, median latency, CPU per operation
+/// and live heap are medians over the phase's slices when it has them,
+/// which keeps a short stall from moving the whole run.  So is the tail
+/// when the slices hold enough samples for a p99 (see group_p99s);
+/// otherwise it is the highest percentile of all samples with ten beyond
+/// it.  The unscaled whole-phase values are printed beside them.
 void end_to_end_metrics(RunStats& st, double setup_s, MetricSheet& m) {
   const double done = static_cast<double>(st.completed());
-  double rps = ratio(done, st.wall_s);
-  double p50 = st.latency_us.median();
-  double tail = st.latency_us.tail();
-  double cpu_op = ratio(st.cpu_s * 1e6, done);
+  const double raw_rps = ratio(done, st.wall_s);
+  const double raw_p50 = st.latency_us.median();
+  const double raw_tail = st.latency_us.tail();
+  const double raw_cpu_op = ratio(st.cpu_s * 1e6, done);
+  Samples probes;
+  for (const Slice& s : st.slices) probes.append(s.probe_us);
+  const double probe_us =
+      probes.empty() ? probe_median(64) : probes.median();
+  const double f = kRefProbeUs / probe_us;
+  Samples latency = st.latency_us;
+  latency.scale(f);
+  // An open loop's throughput is its arrival rate, which host speed
+  // does not set.
+  double rps = st.open_loop ? raw_rps : raw_rps / f;
+  double p50 = latency.median();
+  double tail = latency.tail();
+  double cpu_op = raw_cpu_op * f;
+  double heap = live_heap_mb();
   char tail_how[64];
   std::snprintf(tail_how, sizeof tail_how, "p%.1f of all samples",
-                st.latency_us.tail_quantile() * 100);
+                latency.tail_quantile() * 100);
   if (!st.slices.empty()) {
-    Samples s_rps, s_p50, s_cpu;
+    Samples s_rps, s_p50, s_cpu, s_heap;
     for (Slice& s : st.slices) {
+      s_heap.add(s.heap_mb);
+      const double fs =
+          s.probe_us.empty() ? f : kRefProbeUs / s.probe_us.median();
       const double n = static_cast<double>(s.completed);
-      s_rps.add(ratio(n, s.wall_s));
+      s.latency_us.scale(fs);
+      s_rps.add(ratio(n, s.wall_s) / (st.open_loop ? 1.0 : fs));
       if (!s.latency_us.empty()) s_p50.add(s.latency_us.median());
-      if (n > 0) s_cpu.add(s.cpu_s * 1e6 / n);
+      if (n > 0) s_cpu.add(s.cpu_s * 1e6 / n * fs);
     }
     rps = s_rps.median();
     p50 = s_p50.median();
     cpu_op = s_cpu.median();
+    heap = s_heap.median();
     const std::vector<double> p99s = group_p99s(st.slices);
     if (!p99s.empty()) {
       Samples s_tail;
@@ -259,18 +282,23 @@ void end_to_end_metrics(RunStats& st, double setup_s, MetricSheet& m) {
     }
   }
   m.set("setup_s", setup_s, "s");
-  m.set("throughput_rps", rps, "1/s");
-  m.set("latency_p50_us", p50, "us");
-  m.set("latency_tail_us", tail, "us");
+  m.set("throughput_ref_rps", rps, "1/s");
+  m.set("latency_p50_ref_us", p50, "us");
+  m.set("latency_tail_ref_us", tail, "us");
   m.set("success_ratio", ratio(done, static_cast<double>(st.attempted)),
         "ratio");
-  m.set("cpu_per_op_us", cpu_op, "us");
-  m.set("peak_rss_mb", peak_rss_mb(), "MB");
+  m.set("cpu_per_op_ref_us", cpu_op, "us");
+  m.set("live_heap_mb", heap, "MB");
   std::printf("timed phase: %llu attempted, %llu failed in %.3f s, "
               "%zu latency samples; tail = %s\n",
               static_cast<unsigned long long>(st.attempted),
               static_cast<unsigned long long>(st.failed), st.wall_s,
               st.latency_us.size(), tail_how);
+  std::printf("as measured: %.1f req/s, p50 %.1f us, tail %.1f us, "
+              "%.1f us CPU/op, peak RSS %.1f MB; host probe median %.2f us "
+              "(%zu readings), reference %.0f us\n",
+              raw_rps, raw_p50, raw_tail, raw_cpu_op, peak_rss_mb(), probe_us,
+              probes.size(), kRefProbeUs);
 }
 
 /// Per-layer metrics of the traced phase, from the benchmark's own
@@ -391,6 +419,13 @@ RunStats traced_run(Workload& w, const Context& ctx, const RunStats& untraced,
   return traced;
 }
 
+/// Set-ups per run: at least kMinSetups, and more while they have taken
+/// less than kSetupBudgetS in all (a short set-up is the noisier one), up
+/// to kMaxSetups.  setup_s is their median.
+constexpr int kMinSetups = 5;
+constexpr int kMaxSetups = 31;
+constexpr double kSetupBudgetS = 3.0;
+
 int run(const Args& a) {
   refuse_non_production();
   auto workload = make_workload(a.workload);
@@ -407,18 +442,35 @@ int run(const Args& a) {
 
   Context ctx{a.seed, a.seconds, nproc, a.work_dir};
   // Set-up is repeated and its median reported: one sample of it is
-  // too noisy for the bound the benchmark puts on it.
-  Samples setup;
-  for (int i = 0; i < 5; ++i) {
+  // too noisy for the bound the benchmark puts on it.  Each is timed as
+  // the process CPU it used, scaled to the reference host by probes read
+  // just before and after it.  Its wall time tracks how many cores the
+  // shared host lends the process at the moment (one set of runs read
+  // 0.13 s, the next 0.22 s, on the same code), which neither the CPU
+  // time nor the probe sees.
+  Samples setup, setup_wall;
+  double setup_total_s = 0;
+  for (int i = 0; i < kMaxSetups &&
+                  (i < kMinSetups || setup_total_s < kSetupBudgetS);
+       ++i) {
     if (i > 0) workload->teardown();
+    const double p0 = probe_median(32);
+    const double cpu0 = process_cpu_s();
     const std::uint64_t t0 = now_ns();
     workload->setup(ctx);
-    setup.add(static_cast<double>(now_ns() - t0) * 1e-9);
+    const double wall = static_cast<double>(now_ns() - t0) * 1e-9;
+    const double cpu = process_cpu_s() - cpu0;
+    const double p1 = probe_median(32);
+    setup.add(cpu * kRefProbeUs / (0.5 * (p0 + p1)));
+    setup_wall.add(wall);
+    setup_total_s += wall;
   }
   const double setup_s = setup.median();
-  std::printf("setup: peak RSS %.1f MB; median %.4f s of %zu repetitions:",
+  std::printf("setup: peak RSS %.1f MB; median %.4f CPU-s at reference "
+              "speed of %zu repetitions; wall s as measured:",
               peak_rss_mb(), setup_s, setup.size());
-  for (std::size_t i = 0; i < setup.size(); ++i) std::printf(" %.4f", setup.at(i));
+  for (std::size_t i = 0; i < setup_wall.size(); ++i)
+    std::printf(" %.4f", setup_wall.at(i));
   std::printf("\n");
 
   MetricSheet metrics;

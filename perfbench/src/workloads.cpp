@@ -48,6 +48,9 @@ class SliceRecorder {
     for (std::size_t j = lat0_; j < st.latency_us.size(); ++j)
       s.latency_us.add(st.latency_us.at(j));
   }
+  void probe(std::uint64_t at_ns) {
+    slices_[index(at_ns)].probe_us.add(host_probe_us());
+  }
   [[nodiscard]] std::size_t index(std::uint64_t at_ns) const {
     double k = static_cast<double>(at_ns - std::min(at_ns, start_ns_)) / slice_ns_;
     return std::min<std::size_t>(kSlices - 1, static_cast<std::size_t>(k));
@@ -57,6 +60,7 @@ class SliceRecorder {
     for (std::size_t k = 0; k < kSlices; ++k) {
       out[k].completed += slices_[k].completed;
       out[k].latency_us.append(slices_[k].latency_us);
+      out[k].probe_us.append(slices_[k].probe_us);
     }
   }
 
@@ -68,22 +72,34 @@ class SliceRecorder {
   std::size_t lat0_ = 0;
 };
 
-/// Process CPU spent in each slice, sampled at the slice boundaries by
-/// the calling thread until `done` is set.
-std::vector<double> sample_slice_cpu(std::uint64_t start_ns, double slice_s,
-                                     const std::atomic<bool>& done) {
-  std::vector<double> cpu;
+/// How often a closed loop's sampling thread reads the live heap.
+constexpr int kHeapEveryMs = 50;
+
+/// Process CPU spent in each slice, sampled at the slice boundaries, and
+/// the mean live heap over it, sampled every kHeapEveryMs, by the
+/// calling thread until `done` is set.
+std::vector<Slice> sample_slices(std::uint64_t start_ns, double slice_s,
+                                 const std::atomic<bool>& done) {
+  std::vector<Slice> out;
   double prev = process_cpu_s();
   for (std::size_t k = 1; k <= kSlices && !done.load(); ++k) {
     const auto boundary = start_ns + static_cast<std::uint64_t>(k * slice_s * 1e9);
-    while (!done.load() && now_ns() < boundary)
+    Samples heap;
+    for (int ms = 0; !done.load() && now_ns() < boundary; ++ms) {
+      if (ms % kHeapEveryMs == 0) heap.add(live_heap_mb());
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     const double c = process_cpu_s();
-    cpu.push_back(c - prev);
+    Slice& s = out.emplace_back();
+    s.heap_mb = heap.mean();
+    s.cpu_s = c - prev;
     prev = c;
   }
-  return cpu;
+  return out;
 }
+
+/// How often each closed-loop client reads the host-speed probe.
+constexpr std::uint64_t kProbeEveryNs = 10'000'000;
 
 /// Runs `clients` closed-loop threads.  `op(client, op_index, lane, stats)`
 /// performs one operation and records into the thread's own stats.  The
@@ -114,8 +130,13 @@ RunStats closed_loop(unsigned clients, double seconds, std::uint64_t max_ops,
   for (unsigned c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
       try {
+        std::uint64_t next_probe = 0;
         while (!stop.load(std::memory_order_relaxed) &&
                Clock::now() < deadline) {
+          if (const std::uint64_t t = now_ns(); t >= next_probe) {
+            rec[c].probe(t);
+            next_probe = t + kProbeEveryNs;
+          }
           std::uint64_t i = next.fetch_add(1);
           if (max_ops != 0 && i >= max_ops) break;
           rec[c].begin(per[c]);
@@ -130,8 +151,7 @@ RunStats closed_loop(unsigned clients, double seconds, std::uint64_t max_ops,
       if (running.fetch_sub(1) == 1) finished = true;
     });
   }
-  const std::vector<double> slice_cpu =
-      sample_slice_cpu(start_ns, slice_s, finished);
+  const std::vector<Slice> sampled = sample_slices(start_ns, slice_s, finished);
   for (auto& t : threads) t.join();
   if (error) std::rethrow_exception(error);
 
@@ -148,10 +168,11 @@ RunStats closed_loop(unsigned clients, double seconds, std::uint64_t max_ops,
     out.create_session_ms.append(s.create_session_ms);
   }
   // Slices are reported only for a phase that ran its full length.
-  if (slice_cpu.size() == kSlices) {
+  if (sampled.size() == kSlices) {
     for (const SliceRecorder& r : rec) r.merge_into(out.slices);
     for (std::size_t k = 0; k < kSlices; ++k) {
-      out.slices[k].cpu_s = slice_cpu[k];
+      out.slices[k].cpu_s = sampled[k].cpu_s;
+      out.slices[k].heap_mb = sampled[k].heap_mb;
       out.slices[k].wall_s = slice_s;
     }
   }
@@ -293,6 +314,7 @@ class ColdMix final : public Workload {
     SpanLog::Lane* send_lane = log ? log->lane() : nullptr;
     SpanLog::Lane* wait_lane = log ? log->lane() : nullptr;
     RunStats st;
+    st.open_loop = true;
     std::exception_ptr error;
     const std::size_t n =
         max_ops != 0 ? std::min<std::size_t>(max_ops, insts_.size())
@@ -303,14 +325,16 @@ class ColdMix final : public Workload {
     // Requests fall into slices by their scheduled send time.
     const double slice_s = schedule_s_ / kSlices;
     SliceRecorder rec(start, slice_s);
-    std::vector<double> slice_cpu;
+    std::vector<Slice> sampled;  // CPU and live heap per slice
     double cpu_mark = cpu0;
     auto mark_slices = [&](std::uint64_t now) {
-      while (slice_cpu.size() < kSlices &&
+      while (sampled.size() < kSlices &&
              now >= start + static_cast<std::uint64_t>(
-                                (slice_cpu.size() + 1) * slice_s * 1e9)) {
+                                (sampled.size() + 1) * slice_s * 1e9)) {
         const double c = process_cpu_s();
-        slice_cpu.push_back(c - cpu_mark);
+        Slice& s = sampled.emplace_back();
+        s.cpu_s = c - cpu_mark;
+        s.heap_mb = live_heap_mb();
         cpu_mark = c;
       }
     };
@@ -394,7 +418,7 @@ class ColdMix final : public Workload {
         std::lock_guard lock(mu);
         return error != nullptr;
       };
-      while (slice_cpu.size() < kSlices && !collector_failed()) {
+      while (sampled.size() < kSlices && !collector_failed()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         mark_slices(now_ns());
       }
@@ -403,10 +427,11 @@ class ColdMix final : public Workload {
     if (error) std::rethrow_exception(error);
     st.wall_s = static_cast<double>(now_ns() - start) * 1e-9;
     st.cpu_s = process_cpu_s() - cpu0;
-    if (slice_cpu.size() == kSlices) {
+    if (sampled.size() == kSlices) {
       rec.merge_into(st.slices);
       for (std::size_t k = 0; k < kSlices; ++k) {
-        st.slices[k].cpu_s = slice_cpu[k];
+        st.slices[k].cpu_s = sampled[k].cpu_s;
+        st.slices[k].heap_mb = sampled[k].heap_mb;
         st.slices[k].wall_s = slice_s;
       }
     }
@@ -472,12 +497,17 @@ class LargeSolve final : public Workload {
       const double round_cpu0 = process_cpu_s();
       const std::size_t lat0 = st.latency_us.size();
       const std::uint64_t done0 = st.completed();
-      for (std::size_t j = 0; j < m; ++j)
+      Samples probes;
+      for (std::size_t j = 0; j < m; ++j) {
+        probes.add(host_probe_us());
         submit_and_check(*svc_, insts_[j], expected_[j], i + j, lane, st);
+      }
       Slice& s = st.slices.emplace_back();
+      s.probe_us = probes;
       s.completed = st.completed() - done0;
       s.wall_s = static_cast<double>(now_ns() - round_t0) * 1e-9;
       s.cpu_s = process_cpu_s() - round_cpu0;
+      s.heap_mb = live_heap_mb();
       for (std::size_t j = lat0; j < st.latency_us.size(); ++j)
         s.latency_us.add(st.latency_us.at(j));
     }
@@ -499,9 +529,9 @@ class LargeSolve final : public Workload {
 
 // --- session_append ---------------------------------------------------------
 
-/// Closed loop, nproc clients, each keeping two journaled sessions open
-/// and appending small deltas to them; a session that reaches the end of
-/// its planned lineage is closed and replaced by the next plan.
+/// Closed loop, nproc / 2 clients, each keeping two journaled sessions
+/// open and appending small deltas to them; a session that reaches the
+/// end of its planned lineage is closed and replaced by the next plan.
 class SessionAppend final : public Workload {
  public:
   static constexpr std::size_t kAppends = 256;  // deltas per lineage
@@ -583,7 +613,11 @@ class SessionAppend final : public Workload {
       std::size_t version = 0;
       bool live = false;
     };
-    const unsigned clients = ctx.nproc;
+    // Half the cores: an append that creates a session or falls back to
+    // a cold solve forks onto the nproc-worker pool, and nproc clients
+    // beside it oversubscribe the cores, so the run would measure the
+    // OS scheduler more than the program.
+    const unsigned clients = std::max(1u, ctx.nproc / 2);
     std::vector<std::array<Open, 2>> open(clients);
     std::atomic<std::size_t> next_plan{0};
     auto open_next = [&](Open& o, std::uint64_t op, SpanLog::Lane* lane,

@@ -29,7 +29,9 @@ struct Slice {
   std::uint64_t completed = 0;
   double wall_s = 0;
   double cpu_s = 0;
+  double heap_mb = 0;  // live heap (live_heap_mb) over the slice
   Samples latency_us;
+  Samples probe_us;  // host_probe_us() readings taken in the slice
 };
 
 /// Timed phases are cut into this many equal slices.
@@ -40,6 +42,7 @@ inline constexpr std::size_t kSlices = 10;
 struct RunStats {
   std::uint64_t attempted = 0;
   std::uint64_t failed = 0;  // typed SolveError or refusal
+  bool open_loop = false;    // arrivals on a schedule (cold_mix)
   double wall_s = 0;
   double cpu_s = 0;
   Samples latency_us;        // call (or scheduled send) -> result ready
