@@ -32,6 +32,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
+#include <new>
 #include <stdexcept>
 #include <string>
 
@@ -71,6 +73,10 @@ class SolveError : public std::runtime_error {
         retry_after_(retry_after) {}
 
   [[nodiscard]] SolveErrorCode code() const noexcept { return code_; }
+  /// what() without the leading "<code name>: ".
+  [[nodiscard]] const char* message() const noexcept {
+    return what() + std::char_traits<char>::length(solve_error_name(code_)) + 2;
+  }
   [[nodiscard]] std::chrono::nanoseconds retry_after() const noexcept {
     return retry_after_;
   }
@@ -79,6 +85,30 @@ class SolveError : public std::runtime_error {
   SolveErrorCode code_;
   std::chrono::nanoseconds retry_after_;
 };
+
+/// The one exception -> SolveError conversion, for every boundary that
+/// must hand callers a typed failure (BatchExecutor::solve_one, the
+/// service dispatcher, session appends): a SolveError passes through;
+/// invalid_argument and out_of_range (a hostile instance or delta, an
+/// unknown kind) become kInvalidArgument; bad_alloc and anything else
+/// become kInternal.
+[[nodiscard]] inline SolveError to_solve_error(std::exception_ptr e) {
+  try {
+    std::rethrow_exception(e);
+  } catch (const SolveError& s) {
+    return s;
+  } catch (const std::invalid_argument& x) {
+    return SolveError(SolveErrorCode::kInvalidArgument, x.what());
+  } catch (const std::out_of_range& x) {
+    return SolveError(SolveErrorCode::kInvalidArgument, x.what());
+  } catch (const std::bad_alloc&) {
+    return SolveError(SolveErrorCode::kInternal, "allocation failed");
+  } catch (const std::exception& x) {
+    return SolveError(SolveErrorCode::kInternal, x.what());
+  } catch (...) {  // lint: allow-catch (converted to SolveError here)
+    return SolveError(SolveErrorCode::kInternal, "unknown exception");
+  }
+}
 
 /// Cancellation + deadline state shared between a submitter and the
 /// solve running on its behalf.  All operations are lock-free; cancel()

@@ -3,7 +3,9 @@
 // Always-on, low-overhead observability for the quantities the paper's
 // theorems are about (rounds, relaxations, states) plus the scheduler
 // and service behavior around them (steals, parks, wakes, batch
-// windows, cache traffic).  Three metric kinds:
+// windows, queue depth).  Service and session event counts are not
+// here: each CordonService owns its own (ServiceStats).  Three metric
+// kinds:
 //
 //   * Counter   — monotonic u64, `count(Counter::kSchedSteals)`.
 //   * Gauge     — signed level tracked by +/- deltas,
@@ -70,18 +72,6 @@ enum class Counter : std::uint16_t {
   kEngineSolves,        // requests admitted to a batch run
   kEngineSolveErrors,   // requests whose solver threw / kind unknown
   kEngineSolvesCancelled,  // solves aborted by cancellation or deadline
-  kServiceSubmits,      // CordonService::submit calls admitted
-  kServiceBatches,      // dispatcher batches executed
-  kServiceCoalesced,    // duplicate requests merged inside a batch
-  kServiceShed,         // requests rejected by admission control
-  kServiceExpired,      // requests failed on a blown/unmeetable deadline
-  kServiceCancelled,    // requests failed via their cancel token
-  kSessionAppends,      // session append() calls accepted
-  kSessionResumes,      // appends served from saved solver state
-  kSessionColdSolves,   // appends that fell back to a cold solve
-  kSessionJournalWrites, // durable journal records written
-  kSessionJournalErrors, // journal write/open failures (session poisoned)
-  kSessionsRecovered,   // sessions rebuilt by CordonService::recover
   kCount
 };
 
@@ -152,27 +142,6 @@ inline constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
      "Requests whose solver threw or whose kind was unknown"},
     {"cordon_engine_solves_cancelled_total",
      "Solves aborted mid-run by cancellation or a deadline"},
-    {"cordon_service_submits_total", "CordonService::submit calls admitted"},
-    {"cordon_service_batches_total", "Dispatcher batches executed"},
-    {"cordon_service_coalesced_total",
-     "Duplicate requests merged inside a batch"},
-    {"cordon_service_shed_total",
-     "Requests rejected by admission control (queue full or early shed)"},
-    {"cordon_service_expired_total",
-     "Requests failed on a deadline blown or unmeetable at dispatch"},
-    {"cordon_service_cancelled_total",
-     "Requests failed through their cancel token"},
-    {"cordon_session_appends_total", "Session append() calls accepted"},
-    {"cordon_session_resumes_total",
-     "Appends served incrementally from saved solver state"},
-    {"cordon_session_cold_solves_total",
-     "Appends that fell back to a cold solve of the grown instance"},
-    {"cordon_session_journal_writes_total",
-     "Durable session-journal records written"},
-    {"cordon_session_journal_errors_total",
-     "Session-journal write or open failures (session poisoned)"},
-    {"cordon_sessions_recovered_total",
-     "Sessions rebuilt from journals by CordonService::recover"},
 }};
 
 inline constexpr std::array<MetricInfo, kNumGauges> kGaugeInfo{{

@@ -43,24 +43,10 @@ BatchItem solve_one(const ProblemRegistry& reg, const Instance& inst,
     item.result = use_reference ? solver.solve_reference(inst)
                                 : solver.solve(inst);
     item.ok = true;
-  } catch (const core::SolveError& e) {
+  } catch (...) {
+    const core::SolveError e = core::to_solve_error(std::current_exception());
     item.code = e.code();
-    item.error = e.what();
-  } catch (const std::invalid_argument& e) {
-    item.code = core::SolveErrorCode::kInvalidArgument;
-    item.error = e.what();
-  } catch (const std::out_of_range& e) {
-    // ProblemRegistry::at on an unknown kind.
-    item.code = core::SolveErrorCode::kInvalidArgument;
-    item.error = e.what();
-  } catch (const std::bad_alloc&) {
-    item.code = core::SolveErrorCode::kInternal;
-    item.error = "allocation failed";
-  } catch (const std::exception& e) {
-    // ExplicitCordon's stuck-state throw and any other solver
-    // invariant failure.
-    item.code = core::SolveErrorCode::kInternal;
-    item.error = e.what();
+    item.error = e.message();
   }
   if (!item.ok && (item.code == core::SolveErrorCode::kCancelled ||
                    item.code == core::SolveErrorCode::kDeadlineExceeded))

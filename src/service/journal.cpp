@@ -10,7 +10,6 @@
 
 #include "src/core/cancel.hpp"
 #include "src/core/fault.hpp"
-#include "src/core/telemetry.hpp"
 #include "src/engine/instance.hpp"
 
 namespace cordon::service {
@@ -21,7 +20,6 @@ constexpr std::string_view kMagic = "cordon-journal";
 constexpr std::string_view kVersion = "v1";
 
 [[noreturn]] void io_fail(const std::string& path, const char* op) {
-  telemetry::count(telemetry::Counter::kSessionJournalErrors);
   throw core::SolveError(core::SolveErrorCode::kInternal,
                          std::string("session journal ") + op + " failed: " +
                              path + ": " + std::strerror(errno));
@@ -95,12 +93,15 @@ std::unique_ptr<SessionJournal> SessionJournal::create(
     std::remove(j->path_.c_str());
     throw;
   }
-  telemetry::count(telemetry::Counter::kSessionJournalWrites);
   return j;
 }
 
 std::unique_ptr<SessionJournal> SessionJournal::open_existing(
     std::string path) {
+  if (CORDON_FAULT_CHECK(core::fault::Site::kJournalIo)) {
+    errno = EIO;
+    io_fail(path, "open");
+  }
   std::FILE* f = std::fopen(path.c_str(), "ab");
   if (f == nullptr) io_fail(path, "open");
   return std::unique_ptr<SessionJournal>(
@@ -116,7 +117,6 @@ void SessionJournal::append_delta(std::string_view delta_text,
   write_all(file_, path_, delta_text, "delta write");
   write_all(file_, path_, "\n", "delta write");
   flush(file_, path_, "delta flush");
-  telemetry::count(telemetry::Counter::kSessionJournalWrites);
 }
 
 void SessionJournal::remove() {

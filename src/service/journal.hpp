@@ -31,7 +31,7 @@
 // owning session is then POISONED by the service — its in-memory state
 // is one step ahead of the durable state, so further appends must fail
 // rather than widen the divergence.  Durability falls back to the last
-// flushed record.
+// flushed record.  A failed re-open in recovery poisons the same way.
 #pragma once
 
 #include <cstdint>
@@ -60,7 +60,8 @@ class SessionJournal {
                                                 std::string_view base_text);
 
   /// Re-binds an existing journal for appending (recovery path).  The
-  /// file must already be well-formed up to its current size.
+  /// file must already be well-formed up to its current size.  Throws
+  /// core::SolveError{kInternal} when the file cannot be opened.
   static std::unique_ptr<SessionJournal> open_existing(std::string path);
 
   /// Appends and flushes one delta record.  Throws

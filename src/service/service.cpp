@@ -50,7 +50,6 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
   telemetry::TraceSpan submit_span("submit", "service");
   auto submit_t0 = std::chrono::steady_clock::now();
   auto record_submit = [&] {
-    telemetry::count(telemetry::Counter::kServiceSubmits);
     telemetry::observe(
         telemetry::Histogram::kServiceSubmitNs,
         static_cast<std::uint64_t>(
@@ -76,10 +75,10 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
     if (hit) {
       // Fast path: completed future, no queue, no dispatcher wake-up,
       // no service-wide lock.  seq_cst increments in this order let
-      // stats() (which reads hit_completed_ before submitted_) never
+      // stats() (which reads completed_ before submitted_) never
       // observe completed > submitted.
       submitted_.fetch_add(1);
-      hit_completed_.fetch_add(1);
+      completed_.fetch_add(1);
       record_submit();
       std::promise<engine::SolveResult> ready;
       ready.set_value(*std::move(hit));
@@ -160,15 +159,12 @@ void CordonService::fail_pending(Pending& p, core::SolveErrorCode code,
   switch (code) {
     case core::SolveErrorCode::kShed:
       shed_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kServiceShed);
       break;
     case core::SolveErrorCode::kDeadlineExceeded:
       expired_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kServiceExpired);
       break;
     case core::SolveErrorCode::kCancelled:
       cancelled_.fetch_add(1, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kServiceCancelled);
       break;
     default:
       break;
@@ -179,7 +175,7 @@ void CordonService::fail_pending(Pending& p, core::SolveErrorCode code,
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - p.enqueued)
               .count()));
-  rejected_failed_.fetch_add(1, std::memory_order_relaxed);
+  failed_.fetch_add(1);
   p.promise.set_exception(
       std::make_exception_ptr(core::SolveError(code, msg, retry_after)));
 }
@@ -254,10 +250,7 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     sessions_.emplace(id, std::move(session));
   }
   telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, 1);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.sessions_created;
-  }
+  sessions_created_.fetch_add(1, std::memory_order_relaxed);
   return id;
 }
 
@@ -282,18 +275,11 @@ std::future<engine::SolveResult> CordonService::append(std::uint64_t id,
     telemetry::TraceSpan span("append", "service");
     std::lock_guard lock(session->mu);
     promise.set_value(append_locked(*session, delta));
-  } catch (const core::SolveError&) {
-    promise.set_exception(std::current_exception());
-  } catch (const std::invalid_argument& e) {
-    // Hostile delta: wrong kind, over-cap ops, base-version mismatch.
-    promise.set_exception(std::make_exception_ptr(core::SolveError(
-        core::SolveErrorCode::kInvalidArgument, e.what())));
-  } catch (const std::bad_alloc&) {
-    promise.set_exception(std::make_exception_ptr(core::SolveError(
-        core::SolveErrorCode::kInternal, "allocation failed")));
-  } catch (const std::exception& e) {
+  } catch (...) {
+    // A hostile delta (wrong kind, over-cap ops, base-version mismatch)
+    // fails as kInvalidArgument, anything else as kInternal.
     promise.set_exception(std::make_exception_ptr(
-        core::SolveError(core::SolveErrorCode::kInternal, e.what())));
+        core::to_solve_error(std::current_exception())));
   }
   return fut;
 }
@@ -327,7 +313,6 @@ engine::SolveResult CordonService::append_locked(Session& s,
   const std::string delta_text = engine::to_string(delta);
   s.chain_hash = (s.chain_hash * 1099511628211ull) ^
                  engine::fnv1a64(delta_text);
-  telemetry::count(telemetry::Counter::kSessionAppends);
   // Durability: the record is flushed under the session mutex before
   // the append's future can resolve.  On a write failure the in-memory
   // lineage is already one step ahead of disk, so the session is
@@ -361,8 +346,7 @@ engine::SolveResult CordonService::append_locked(Session& s,
     // Non-incremental family: a replayed lineage can serve this version
     // straight from the cache (there is no state to advance).
     if (auto hit = cache_->get(vhash, vkey)) {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.session_appends;
+      session_appends_.fetch_add(1, std::memory_order_relaxed);
       return *std::move(hit);
     }
     engine::ResumeResult rr = s.solver->resume(s.state, s.current, delta);
@@ -376,15 +360,11 @@ engine::SolveResult CordonService::append_locked(Session& s,
     resumed = rr.resumed;
     result = std::move(rr.result);
   }
-  telemetry::count(resumed ? telemetry::Counter::kSessionResumes
-                           : telemetry::Counter::kSessionColdSolves);
   ++(resumed ? s.resumes : s.cold_solves);
   if (cache_ != nullptr) cache_->put(vhash, vkey, result);
-  {
-    std::lock_guard lock(stats_mu_);
-    ++stats_.session_appends;
-    ++(resumed ? stats_.session_resumes : stats_.session_cold_solves);
-  }
+  session_appends_.fetch_add(1, std::memory_order_relaxed);
+  (resumed ? session_resumes_ : session_cold_solves_)
+      .fetch_add(1, std::memory_order_relaxed);
   return result;
 }
 
@@ -411,8 +391,7 @@ void CordonService::close_session(std::uint64_t id) {
   if (cache_ != nullptr)
     cache_->unpin(session->base_hash, session->base_key_text);
   telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, -1);
-  std::lock_guard lock(stats_mu_);
-  ++stats_.sessions_closed;
+  sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<SessionInfo> CordonService::session_info(
@@ -532,8 +511,18 @@ std::vector<std::uint64_t> CordonService::recover() {
         session->poisoned = true;
       }
     }
-    if (!session->poisoned)
-      session->journal = SessionJournal::open_existing(file.string());
+    if (!session->poisoned) {
+      // A journal that cannot be re-opened freezes the lineage like a
+      // failed write would; the session still registers, so its pinned
+      // base is released by close_session and later journals replay.
+      try {
+        session->journal = SessionJournal::open_existing(file.string());
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "cordon recover: %s\n", e.what());
+        journal_errors_.fetch_add(1, std::memory_order_relaxed);
+        session->poisoned = true;
+      }
+    }
     // Same id as the original process: journals are the id authority.
     const std::uint64_t id = replay->id;
     // Keep fresh ids above every recovered one.
@@ -545,12 +534,8 @@ std::vector<std::uint64_t> CordonService::recover() {
       sessions_.emplace(id, std::move(session));
     }
     telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, 1);
-    telemetry::count(telemetry::Counter::kSessionsRecovered);
-    {
-      std::lock_guard lock(stats_mu_);
-      ++stats_.sessions_created;
-      ++stats_.sessions_recovered;
-    }
+    sessions_created_.fetch_add(1, std::memory_order_relaxed);
+    sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
     recovered.push_back(id);
   }
   return recovered;
@@ -570,20 +555,30 @@ void CordonService::shutdown() {
 
 ServiceStats CordonService::stats() const {
   ServiceStats out;
+  // completed_ and failed_ before submitted_ (see the counters' comment).
+  out.completed = completed_.load();
+  out.failed = failed_.load();
+  out.submitted = submitted_.load();
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  out.batches = batches_.load(kRelaxed);
+  out.coalesced = coalesced_.load(kRelaxed);
+  out.largest_batch = largest_batch_.load(kRelaxed);
+  out.sessions_created = sessions_created_.load(kRelaxed);
+  out.sessions_closed = sessions_closed_.load(kRelaxed);
+  out.session_appends = session_appends_.load(kRelaxed);
+  out.session_resumes = session_resumes_.load(kRelaxed);
+  out.session_cold_solves = session_cold_solves_.load(kRelaxed);
+  out.shed = shed_.load(kRelaxed);
+  out.expired = expired_.load(kRelaxed);
+  out.cancelled = cancelled_.load(kRelaxed);
+  out.journal_writes = journal_writes_.load(kRelaxed);
+  out.journal_errors = journal_errors_.load(kRelaxed);
+  out.sessions_recovered = sessions_recovered_.load(kRelaxed);
   {
     std::lock_guard lock(stats_mu_);
-    out = stats_;
+    out.solver = solver_stats_;
+    out.queue = queue_stats_;
   }
-  // hit_completed_ before submitted_ (see submit's fast path): a hit's
-  // submit increment is always visible by the time its completion is.
-  out.completed += hit_completed_.load();
-  out.failed += rejected_failed_.load();  // typed rejections count as failed
-  out.submitted = submitted_.load();
-  out.shed = shed_.load();
-  out.expired = expired_.load();
-  out.cancelled = cancelled_.load();
-  out.journal_writes = journal_writes_.load();
-  out.journal_errors = journal_errors_.load();
   if (cache_ != nullptr) out.cache = cache_->stats();
   return out;
 }
@@ -594,16 +589,19 @@ std::size_t CordonService::cache_size() const {
 
 namespace {
 
-// Renders a StatField array under a metric-name prefix.  The field list
-// is the same one the human-readable stream operators iterate
-// (core::StatField::to_json_fields), so the two surfaces cannot drift:
-// monotonic fields become `<prefix><name>_total` counters, the rest
-// plain gauges (e.g. cordon_service_cache_hit_rate).
+// Renders a StatField array under a metric-name prefix, each series
+// with its `# TYPE` line.  The field list is the same one the
+// human-readable stream operators iterate (to_json_fields), so the
+// surfaces cannot drift: monotonic fields become `<prefix><name>_total`
+// counters, the rest plain gauges (e.g. cordon_service_cache_hit_rate).
 template <std::size_t N>
 void write_stat_fields(std::ostream& os, const char* prefix,
                        const std::array<core::StatField, N>& fields) {
   for (const core::StatField& f : fields) {
-    os << prefix << f.name << (f.monotonic ? "_total" : "") << ' ';
+    const char* suffix = f.monotonic ? "_total" : "";
+    os << "# TYPE " << prefix << f.name << suffix
+       << (f.monotonic ? " counter\n" : " gauge\n")
+       << prefix << f.name << suffix << ' ';
     if (f.integral) {
       os << static_cast<std::uint64_t>(f.value);
     } else {
@@ -620,71 +618,15 @@ void write_stat_fields(std::ostream& os, const char* prefix,
 std::string CordonService::metrics_text() const {
   std::ostringstream os;
   telemetry::write_prometheus(os, telemetry::snapshot());
-
-  ServiceStats s = stats();
-  os << "# HELP cordon_service_submitted_total Requests admitted by submit()\n"
-        "# TYPE cordon_service_submitted_total counter\n"
-     << "cordon_service_submitted_total " << s.submitted << '\n'
-     << "# HELP cordon_service_completed_total Futures fulfilled with a "
-        "result\n# TYPE cordon_service_completed_total counter\n"
-     << "cordon_service_completed_total " << s.completed << '\n'
-     << "# HELP cordon_service_failed_total Futures fulfilled with an "
-        "exception\n# TYPE cordon_service_failed_total counter\n"
-     << "cordon_service_failed_total " << s.failed << '\n'
-     << "# HELP cordon_service_largest_batch Most requests in one dispatch\n"
-        "# TYPE cordon_service_largest_batch gauge\n"
-     << "cordon_service_largest_batch " << s.largest_batch << '\n'
-     << "# HELP cordon_service_cache_entries Result-cache entries resident\n"
-        "# TYPE cordon_service_cache_entries gauge\n"
-     << "cordon_service_cache_entries " << cache_size() << '\n'
-     << "# HELP cordon_service_cache_pinned Cache entries pinned by open "
-        "sessions\n# TYPE cordon_service_cache_pinned gauge\n"
-     << "cordon_service_cache_pinned "
-     << (cache_ == nullptr ? 0 : cache_->pinned()) << '\n'
-     << "# HELP cordon_service_sessions_created_total Sessions created\n"
-        "# TYPE cordon_service_sessions_created_total counter\n"
-     << "cordon_service_sessions_created_total " << s.sessions_created << '\n'
-     << "# HELP cordon_service_sessions_closed_total Sessions closed\n"
-        "# TYPE cordon_service_sessions_closed_total counter\n"
-     << "cordon_service_sessions_closed_total " << s.sessions_closed << '\n'
-     << "# HELP cordon_service_session_appends_total Session appends "
-        "fulfilled\n# TYPE cordon_service_session_appends_total counter\n"
-     << "cordon_service_session_appends_total " << s.session_appends << '\n'
-     << "# HELP cordon_service_session_resumes_total Appends served from "
-        "saved solver state\n"
-        "# TYPE cordon_service_session_resumes_total counter\n"
-     << "cordon_service_session_resumes_total " << s.session_resumes << '\n'
-     << "# HELP cordon_service_session_cold_solves_total Appends served by "
-        "a cold solve\n"
-        "# TYPE cordon_service_session_cold_solves_total counter\n"
-     << "cordon_service_session_cold_solves_total " << s.session_cold_solves
-     << '\n'
-     << "# HELP cordon_service_shed_requests_total Requests rejected by "
-        "admission control\n"
-        "# TYPE cordon_service_shed_requests_total counter\n"
-     << "cordon_service_shed_requests_total " << s.shed << '\n'
-     << "# HELP cordon_service_expired_requests_total Requests that blew "
-        "(or provably would blow) their deadline\n"
-        "# TYPE cordon_service_expired_requests_total counter\n"
-     << "cordon_service_expired_requests_total " << s.expired << '\n'
-     << "# HELP cordon_service_cancelled_requests_total Requests failed "
-        "through their cancel token\n"
-        "# TYPE cordon_service_cancelled_requests_total counter\n"
-     << "cordon_service_cancelled_requests_total " << s.cancelled << '\n'
-     << "# HELP cordon_service_journal_writes_total Durable session-journal "
-        "records written\n"
-        "# TYPE cordon_service_journal_writes_total counter\n"
-     << "cordon_service_journal_writes_total " << s.journal_writes << '\n'
-     << "# HELP cordon_service_journal_errors_total Session-journal write "
-        "failures (poisons the session)\n"
-        "# TYPE cordon_service_journal_errors_total counter\n"
-     << "cordon_service_journal_errors_total " << s.journal_errors << '\n'
-     << "# HELP cordon_service_sessions_recovered_total Sessions rebuilt "
-        "from journals by recover()\n"
-        "# TYPE cordon_service_sessions_recovered_total counter\n"
-     << "cordon_service_sessions_recovered_total " << s.sessions_recovered
-     << '\n';
+  const ServiceStats s = stats();
+  const std::array<core::StatField, 2> cache_levels{{
+      {"entries", static_cast<double>(cache_size()), /*monotonic=*/false},
+      {"pinned",
+       static_cast<double>(cache_ == nullptr ? 0 : cache_->pinned()),
+       /*monotonic=*/false}}};
+  write_stat_fields(os, "cordon_service_", s.to_json_fields());
   write_stat_fields(os, "cordon_service_cache_", s.cache.to_json_fields());
+  write_stat_fields(os, "cordon_service_cache_", cache_levels);
   write_stat_fields(os, "cordon_service_queue_", s.queue.to_json_fields());
   return os.str();
 }
@@ -746,22 +688,8 @@ void CordonService::run_batch(std::vector<Pending> taken) {
     // (genuine or injected at fault::Site::kArenaAlloc during assembly)
     // fails this batch's unfulfilled futures typed, and the loop goes on
     // serving.  Nothing here re-throws.
-    std::exception_ptr typed;
-    try {
-      throw;
-    } catch (const core::SolveError&) {
-      typed = std::current_exception();
-    } catch (const std::bad_alloc&) {
-      typed = std::make_exception_ptr(core::SolveError(
-          core::SolveErrorCode::kInternal, "batch dispatch: allocation failed"));
-    } catch (const std::exception& e) {
-      typed = std::make_exception_ptr(core::SolveError(
-          core::SolveErrorCode::kInternal,
-          std::string("batch dispatch failed: ") + e.what()));
-    } catch (...) {  // lint: allow-catch (converted to SolveError above)
-      typed = std::make_exception_ptr(core::SolveError(
-          core::SolveErrorCode::kInternal, "batch dispatch failed"));
-    }
+    const std::exception_ptr typed = std::make_exception_ptr(
+        core::to_solve_error(std::current_exception()));
     std::uint64_t failed = 0;
     for (Pending& p : taken) {
       if (p.done) continue;
@@ -770,14 +698,12 @@ void CordonService::run_batch(std::vector<Pending> taken) {
       p.promise.set_exception(typed);
     }
     telemetry::count(telemetry::Counter::kEngineSolveErrors, failed);
-    std::lock_guard lock(stats_mu_);
-    stats_.failed += failed;
+    failed_.fetch_add(failed);
   }
 }
 
 void CordonService::run_batch_impl(std::vector<Pending>& taken) {
   auto dispatched_at = std::chrono::steady_clock::now();
-  telemetry::count(telemetry::Counter::kServiceBatches);
   telemetry::TraceSpan batch_span("batch", "service");
   batch_span.arg("requests", taken.size());
   for (const Pending& p : taken)
@@ -887,8 +813,6 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
     batch.push_back(std::move(taken[g.leader].inst));
   }
 
-  telemetry::count(telemetry::Counter::kServiceCoalesced,
-                   live - groups.size());
   batch_span.arg("groups", groups.size());
 
   engine::BatchReport report;
@@ -939,27 +863,25 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
     failed += n;
     // Mid-solve aborts land here (queue-time ones went through
     // fail_pending): keep the per-category counters whole either way.
-    if (o.code == core::SolveErrorCode::kCancelled) {
+    if (o.code == core::SolveErrorCode::kCancelled)
       cancelled_.fetch_add(n, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kServiceCancelled, n);
-    } else if (o.code == core::SolveErrorCode::kDeadlineExceeded) {
+    else if (o.code == core::SolveErrorCode::kDeadlineExceeded)
       expired_.fetch_add(n, std::memory_order_relaxed);
-      telemetry::count(telemetry::Counter::kServiceExpired, n);
-    }
   }
 
   // Counters first, futures second: a client that wakes from get() must
   // observe stats that already include its own request.
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  coalesced_.fetch_add(live - groups.size(), std::memory_order_relaxed);
+  if (taken.size() > largest_batch_.load(std::memory_order_relaxed))
+    largest_batch_.store(taken.size(), std::memory_order_relaxed);
+  completed_.fetch_add(completed);
+  failed_.fetch_add(failed);
   {
     std::lock_guard lock(stats_mu_);
-    ++stats_.batches;
-    stats_.largest_batch = std::max(stats_.largest_batch, taken.size());
-    stats_.coalesced += live - groups.size();
-    stats_.completed += completed;
-    stats_.failed += failed;
-    stats_.solver += report.stats;
+    solver_stats_ += report.stats;
     for (const Pending& p : taken)
-      stats_.queue.add(
+      queue_stats_.add(
           std::chrono::duration<double>(dispatched_at - p.enqueued).count());
   }
 

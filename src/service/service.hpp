@@ -27,6 +27,7 @@
 // submitted request before returning, so no future is ever abandoned.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -124,6 +125,30 @@ struct ServiceStats {
   core::CacheStats cache;            // hits / misses / evictions
   core::QueueStats queue;            // submit -> dispatch wait times
   core::BatchStats solver;           // aggregate over executed solves
+
+  /// The canonical field list of the integer fields above, consumed by
+  /// metrics_text() (`cordon_service_<name>_total`, or a plain gauge
+  /// for largest_batch); cache and queue render through their own.
+  [[nodiscard]] std::array<core::StatField, 17> to_json_fields() const {
+    auto c = [](std::uint64_t v) { return static_cast<double>(v); };
+    return {{{"submitted", c(submitted)},
+             {"completed", c(completed)},
+             {"failed", c(failed)},
+             {"batches", c(batches)},
+             {"coalesced", c(coalesced)},
+             {"largest_batch", c(largest_batch), /*monotonic=*/false},
+             {"sessions_created", c(sessions_created)},
+             {"sessions_closed", c(sessions_closed)},
+             {"session_appends", c(session_appends)},
+             {"session_resumes", c(session_resumes)},
+             {"session_cold_solves", c(session_cold_solves)},
+             {"shed", c(shed)},
+             {"expired", c(expired)},
+             {"cancelled", c(cancelled)},
+             {"journal_writes", c(journal_writes)},
+             {"journal_errors", c(journal_errors)},
+             {"sessions_recovered", c(sessions_recovered)}}};
+  }
 };
 
 /// Monitoring snapshot of one open session (CordonService::session_info).
@@ -229,9 +254,11 @@ class CordonService {
   /// process-wide telemetry registry (scheduler steal/park/wake
   /// counters, solver round/relaxation totals, submit-latency and
   /// queue-wait histograms — see docs/OBSERVABILITY.md for the catalog)
-  /// followed by this service's own counters, cache stats (including
-  /// hit rate), and queue-wait summary.  Safe to call concurrently with
-  /// submits; surfaced by `cordon_cli stress --metrics`.
+  /// followed by this service's own stats() — one
+  /// `cordon_service_<field>_total` series per ServiceStats counter,
+  /// cache stats (including hit rate), and queue-wait summary.  Safe to
+  /// call concurrently with submits; surfaced by `cordon_cli stress
+  /// --metrics`.
   [[nodiscard]] std::string metrics_text() const;
 
  private:
@@ -270,7 +297,7 @@ class CordonService {
   void run_batch(std::vector<Pending> taken);
   void run_batch_impl(std::vector<Pending>& taken);
   /// Fails one pending request's future with a typed SolveError and
-  /// records the rejection (telemetry + stats + reject-wait histogram).
+  /// records the rejection (stats + reject-wait histogram).
   void fail_pending(Pending& p, core::SolveErrorCode code,
                     const std::string& msg,
                     std::chrono::nanoseconds retry_after =
@@ -295,28 +322,37 @@ class CordonService {
   std::deque<Pending> queue_;
   std::atomic<bool> stopping_{false};
 
-  // submitted and cache-hit completions are atomics so the cache-hit
-  // fast path takes no service-wide lock (its only contention is the
-  // cache shard); the dispatcher-side counters stay behind stats_mu_.
-  // stats() merges all three sources into one ServiceStats.
+  // One atomic per integer ServiceStats field, bumped at that event's
+  // single counting site, so no counting path takes a lock.  submitted_,
+  // completed_ and failed_ are seq_cst: a request's completion or
+  // failure is always counted after its submit, and stats() reads them
+  // in the opposite order, so it never sees completed + failed >
+  // submitted.  The rest are relaxed.
   std::atomic<std::uint64_t> submitted_{0};
-  std::atomic<std::uint64_t> hit_completed_{0};
-  // Rejection counters are atomics: the shed/expired paths run on
-  // client threads and the dispatcher both, and stats() must not make
-  // the fast rejection path contend on stats_mu_.
+  std::atomic<std::uint64_t> completed_{0};
+  std::atomic<std::uint64_t> failed_{0};
+  std::atomic<std::uint64_t> batches_{0};
+  std::atomic<std::uint64_t> coalesced_{0};
+  std::atomic<std::size_t> largest_batch_{0};  // dispatcher-written only
+  std::atomic<std::uint64_t> sessions_created_{0};
+  std::atomic<std::uint64_t> sessions_closed_{0};
+  std::atomic<std::uint64_t> session_appends_{0};
+  std::atomic<std::uint64_t> session_resumes_{0};
+  std::atomic<std::uint64_t> session_cold_solves_{0};
   std::atomic<std::uint64_t> shed_{0};
   std::atomic<std::uint64_t> expired_{0};
   std::atomic<std::uint64_t> cancelled_{0};
-  std::atomic<std::uint64_t> rejected_failed_{0};  // futures failed via
-                                                   // fail_pending
   std::atomic<std::uint64_t> journal_writes_{0};
   std::atomic<std::uint64_t> journal_errors_{0};
+  std::atomic<std::uint64_t> sessions_recovered_{0};
   // EWMA of one dispatched batch's solve wall time (ns); seeds the
   // retry-after hint and the "will miss its deadline anyway" early shed.
   std::atomic<std::uint64_t> ewma_batch_ns_{0};
-  mutable std::mutex stats_mu_;  // guards stats_ (cache keeps its own)
-  ServiceStats stats_;           // batch-side counters; submitted /
-                                 // fast-path completed live above
+  // The two non-integer aggregates: written by the dispatcher alone,
+  // copied out whole by stats().
+  mutable std::mutex stats_mu_;
+  core::BatchStats solver_stats_;
+  core::QueueStats queue_stats_;
 
   mutable std::mutex sessions_mu_;  // guards the id -> session map only;
                                     // per-session work holds Session::mu

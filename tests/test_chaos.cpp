@@ -451,6 +451,53 @@ TEST(Chaos, JournalFaultPoisonsTheSessionAndRecoveryResumes) {
   fs::remove_all(dir);
 }
 
+TEST(Chaos, JournalReopenFailureInRecoveryPoisonsAndReleasesThePin) {
+  if (!cf::kEnabled) GTEST_SKIP() << "fault layer compiled out";
+  fs::path dir = scratch_dir("reopen");
+  const ce::Solver& lis = ce::builtin_registry().at("lis");
+  ce::Instance full = lis.generate({300, 4, 8});
+  std::vector<std::uint64_t> ids;
+  {
+    cs::CordonService svc({.journal_dir = dir.string()});
+    for (std::uint64_t base : {100, 150}) {
+      ids.push_back(svc.create_session(ce::prefix_instance(full, base)));
+      (void)svc.append(ids.back(), ce::slice_delta(full, base, base + 50, 0))
+          .get();
+    }
+    // Crash without close: both journals survive.
+  }
+  cs::CordonService svc({.journal_dir = dir.string()});
+  std::vector<std::uint64_t> recovered;
+  {
+    // Replay does no journal I/O; the re-open for further appends is
+    // the only journal operation recover() performs, and every one
+    // fails while this plan is armed.
+    cf::FaultPlan all_journal{13, {}};
+    all_journal.with(cf::Site::kJournalIo, 1'000'000);
+    ArmGuard armed(all_journal);
+    recovered = svc.recover();
+  }
+  EXPECT_EQ(recovered, ids) << "a failed re-open must not stop later "
+                               "journals from replaying";
+  for (std::uint64_t id : ids) {
+    auto info = svc.session_info(id);
+    ASSERT_TRUE(info.has_value());
+    EXPECT_TRUE(info->poisoned);
+    EXPECT_FALSE(info->durable);
+    EXPECT_EQ(info->version, 1u);
+  }
+  // One journal error per failed re-open.
+  EXPECT_EQ(svc.stats().journal_errors, ids.size());
+  // The poisoned sessions still own their pinned bases, and closing
+  // them releases every pin.
+  EXPECT_NE(svc.metrics_text().find("\ncordon_service_cache_pinned 2\n"),
+            std::string::npos);
+  for (std::uint64_t id : ids) svc.close_session(id);
+  EXPECT_NE(svc.metrics_text().find("\ncordon_service_cache_pinned 0\n"),
+            std::string::npos);
+  fs::remove_all(dir);
+}
+
 int main(int argc, char** argv) {
   ::testing::InitGoogleTest(&argc, argv);
   int rc = RUN_ALL_TESTS();

@@ -7,10 +7,14 @@
 #include <chrono>
 #include <cmath>
 #include <future>
+#include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/core/cancel.hpp"
+#include "src/engine/delta.hpp"
 #include "src/engine/instance.hpp"
 #include "src/engine/registry.hpp"
 #include "src/parallel/scheduler.hpp"
@@ -448,4 +452,95 @@ TEST(CordonService, ConcurrentClientsGetOracleCheckedResults) {
   EXPECT_EQ(stats.solver.requests, pool.size());
   EXPECT_GE(stats.cache.hits + stats.coalesced,
             kClients * kRequestsPerClient - pool.size());
+}
+
+// --- CordonService: per-service metrics --------------------------------------
+
+namespace {
+
+/// Series name -> sample value for every sample line of a Prometheus
+/// exposition.  A series name seen twice fails the calling test.
+std::map<std::string, double> parse_series(const std::string& text) {
+  std::map<std::string, double> series;
+  std::istringstream in(text);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    const std::size_t sp = line.rfind(' ');
+    const std::string name = line.substr(0, sp);
+    EXPECT_TRUE(series.emplace(name, std::stod(line.substr(sp + 1))).second)
+        << "series appears twice: " << name;
+  }
+  return series;
+}
+
+/// Mixed traffic through one service: `dups` coalesced duplicates plus
+/// two distinct misses fill a queue of max_queue = dups + 2 while the
+/// long batching window holds the dispatcher back, `sheds` more submits
+/// are shed by kRejectNew, one repeat is a cache hit, and a lis session
+/// takes `appends` appends before it closes.
+void drive_mixed_traffic(cs::CordonService& svc, int dups, int sheds,
+                         std::uint64_t appends, std::uint64_t seed) {
+  const ce::Solver& lis = ce::builtin_registry().at("lis");
+  ce::Instance dup = lis.generate({120, 4, seed});
+  std::vector<std::future<ce::SolveResult>> futs;
+  for (int i = 0; i < dups; ++i) futs.push_back(svc.submit(dup));
+  for (std::uint64_t i = 1; i <= 2; ++i)
+    futs.push_back(svc.submit(lis.generate({120, 4, seed + i})));
+  for (int i = 0; i < sheds; ++i)
+    futs.push_back(svc.submit(lis.generate({120, 4, seed + 100 + i})));
+  for (auto& f : futs) {
+    try {
+      (void)f.get();
+    } catch (const cordon::core::SolveError& e) {
+      EXPECT_EQ(e.code(), cordon::core::SolveErrorCode::kShed) << e.what();
+    }
+  }
+  (void)svc.submit(dup).get();  // cache hit
+
+  ce::Instance full = lis.generate({400, 4, seed});
+  std::uint64_t id = svc.create_session(ce::prefix_instance(full, 100));
+  for (std::uint64_t v = 0; v < appends; ++v)
+    (void)svc.append(id, ce::slice_delta(full, 100 + 20 * v, 120 + 20 * v, v))
+        .get();
+  svc.close_session(id);
+}
+
+}  // namespace
+
+TEST(CordonService, MetricsTextMatchesOwnStatsWithTwoServices) {
+  // Two live services in one process with different traffic: each
+  // one's exposition must report its own counts, never the other's or
+  // a process-wide sum, and must name every series once.
+  auto opts = [](std::size_t max_queue) {
+    cs::ServiceOptions o;
+    o.batch_window = std::chrono::milliseconds(100);
+    o.max_queue = max_queue;
+    o.overload_policy = cs::OverloadPolicy::kRejectNew;
+    return o;
+  };
+  cs::CordonService a(opts(5)), b(opts(4));
+  drive_mixed_traffic(a, 3, 2, 3, 11);
+  drive_mixed_traffic(b, 2, 1, 1, 21);
+
+  for (cs::CordonService* svc : {&a, &b}) {
+    const std::map<std::string, double> series =
+        parse_series(svc->metrics_text());
+    const cs::ServiceStats stats = svc->stats();
+    for (const cordon::core::StatField& f : stats.to_json_fields()) {
+      const std::string name = std::string("cordon_service_") + f.name +
+                               (f.monotonic ? "_total" : "");
+      auto it = series.find(name);
+      ASSERT_NE(it, series.end()) << name << " missing";
+      EXPECT_EQ(it->second, f.value) << name;
+    }
+  }
+  // The traffic was mixed, and the two services tell it apart.
+  const cs::ServiceStats sa = a.stats(), sb = b.stats();
+  EXPECT_GT(sa.coalesced + sa.cache.hits, 0u);
+  EXPECT_EQ(sa.session_appends, 3u);
+  EXPECT_EQ(sb.session_appends, 1u);
+  EXPECT_EQ(sa.sessions_closed, 1u);
+  EXPECT_GT(sa.shed, 0u);
+  EXPECT_NE(sa.submitted, sb.submitted);
 }

@@ -67,10 +67,10 @@ TEST(Telemetry, CountersMergeAcrossWorkers) {
 
 TEST(Telemetry, CounterSupportsBulkIncrements) {
   auto base = telemetry::snapshot();
-  telemetry::count(Counter::kServiceCoalesced, 41);
-  telemetry::count(Counter::kServiceCoalesced);
+  telemetry::count(Counter::kEngineSolves, 41);
+  telemetry::count(Counter::kEngineSolves);
   auto delta = telemetry::snapshot().delta_since(base);
-  EXPECT_EQ(delta.counter(Counter::kServiceCoalesced), 42u);
+  EXPECT_EQ(delta.counter(Counter::kEngineSolves), 42u);
 }
 
 TEST(Telemetry, GaugeDeltasCancelAcrossThreads) {
@@ -125,9 +125,9 @@ TEST(Telemetry, HistogramMergesAcrossWorkers) {
 TEST(Telemetry, DeltaSubtractsCountersButKeepsGaugeLevels) {
   telemetry::gauge_add(Gauge::kSchedDequeJobs, +3);
   auto base = telemetry::snapshot();
-  telemetry::count(Counter::kServiceBatches, 5);
+  telemetry::count(Counter::kEngineBatchRuns, 5);
   auto delta = telemetry::snapshot().delta_since(base);
-  EXPECT_EQ(delta.counter(Counter::kServiceBatches), 5u);
+  EXPECT_EQ(delta.counter(Counter::kEngineBatchRuns), 5u);
   // Gauges are levels, not rates: delta carries the current level.
   EXPECT_EQ(delta.gauge(Gauge::kSchedDequeJobs),
             telemetry::snapshot().gauge(Gauge::kSchedDequeJobs));
