@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 #include <string_view>
+#include <type_traits>
+
+#include "src/parallel/random.hpp"
 
 namespace cordon::engine {
 
@@ -410,73 +413,99 @@ struct SerializeVisitor {
 
 namespace {
 
-// Sink that FNV-1a-hashes every byte the serializer writes, optionally
-// collecting them too, so hashing needs no intermediate string.
-class HashingBuf final : public std::streambuf {
- public:
-  explicit HashingBuf(std::string* collect) : collect_(collect) {}
+// Appends the binary canonical key (see instance.hpp) field by field.
+struct KeyVisitor {
+  std::string& out;
 
-  [[nodiscard]] std::uint64_t hash() const { return hash_; }
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) mix(static_cast<char>(ch));
-    return ch;
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void put(T v) const {
+    out.append(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+  template <typename T>
+    requires std::is_arithmetic_v<T>
+  void put(const std::vector<T>& v) const {
+    put(static_cast<std::uint64_t>(v.size()));
+    out.append(reinterpret_cast<const char*>(v.data()), v.size() * sizeof(T));
+  }
+  void put(const CostSpec& c) const {
+    put(static_cast<std::uint8_t>(c.family));
+    put(c.open);
+    put(c.scale);
+  }
+  template <typename... Fields>
+  void fields(const Fields&... f) const {
+    (put(f), ...);
   }
 
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    for (std::streamsize i = 0; i < n; ++i) mix(s[i]);
-    return n;
+  void operator()(const LisInstance& p) const { fields(p.values); }
+  void operator()(const LcsInstance& p) const { fields(p.a, p.b); }
+  void operator()(const GlwsInstance& p) const { fields(p.n, p.d0, p.cost); }
+  void operator()(const KglwsInstance& p) const { fields(p.n, p.k, p.cost); }
+  void operator()(const GapInstance& p) const {
+    fields(p.a, p.b, p.w1, p.w2);
   }
-
- private:
-  void mix(char c) {
-    hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
-    if (collect_ != nullptr) collect_->push_back(c);
+  void operator()(const OatInstance& p) const { fields(p.weights); }
+  void operator()(const ObstInstance& p) const { fields(p.weights); }
+  void operator()(const TreeGlwsInstance& p) const {
+    fields(p.parent, p.d0, p.cost);
   }
-
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;  // FNV-1a 64 offset basis
-  std::string* collect_;
+  void operator()(const DagInstance& p) const {
+    fields(p.n, static_cast<std::uint8_t>(p.objective),
+           static_cast<std::uint64_t>(p.boundary.size()));
+    for (auto& [state, value] : p.boundary) fields(state, value);
+    put(static_cast<std::uint64_t>(p.edges.size()));
+    for (const DagInstance::Edge& e : p.edges)
+      fields(e.src, e.dst, e.weight, static_cast<std::uint8_t>(e.effective));
+  }
 };
 
-}  // namespace
-
-std::uint64_t instance_hash(const Instance& inst) {
-  HashingBuf buf(nullptr);
-  std::ostream out(&buf);
-  serialize_instance(inst, out);
-  return buf.hash();
+// Folds the key's 8-byte words through splitmix64 in four independent
+// lanes (one serial chain would be latency-bound), each seeded with the
+// length so a zero-padded tail word cannot alias a longer key.
+std::uint64_t key_hash(std::string_view bytes) noexcept {
+  constexpr std::size_t kLanes = 4;
+  std::uint64_t lane[kLanes];
+  for (std::size_t k = 0; k < kLanes; ++k)
+    lane[k] = parallel::hash64(bytes.size(), k);
+  auto word = [&](std::size_t at, std::size_t n) {
+    std::uint64_t w = 0;
+    std::memcpy(&w, bytes.data() + at, n);
+    return w;
+  };
+  std::size_t i = 0;
+  for (; i + 8 * kLanes <= bytes.size(); i += 8 * kLanes)
+    for (std::size_t k = 0; k < kLanes; ++k)
+      lane[k] = parallel::hash64(lane[k] ^ word(i + 8 * k, 8));
+  // Fewer than 8 * kLanes bytes remain: at most one word per lane.
+  for (std::size_t k = 0; i < bytes.size(); i += 8, ++k)
+    lane[k] = parallel::hash64(
+        lane[k] ^ word(i, std::min<std::size_t>(8, bytes.size() - i)));
+  std::uint64_t h = lane[0];
+  for (std::size_t k = 1; k < kLanes; ++k) h = parallel::hash64(h ^ lane[k]);
+  return h;
 }
 
-namespace {
-
-// Sink appending to a caller-owned string (capacity reused across calls).
-class AppendBuf final : public std::streambuf {
- public:
-  explicit AppendBuf(std::string& out) : out_(out) {}
-
- protected:
-  int_type overflow(int_type ch) override {
-    if (ch != traits_type::eof()) out_.push_back(static_cast<char>(ch));
-    return ch;
-  }
-
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.append(s, static_cast<std::size_t>(n));
-    return n;
-  }
-
- private:
-  std::string& out_;
-};
-
 }  // namespace
 
-void canonical_text_into(const Instance& inst, std::string& out) {
-  out.clear();
-  AppendBuf buf(out);
-  std::ostream os(&buf);
-  serialize_instance(inst, os);
+std::uint64_t canonical_bytes_into(const Instance& inst, std::string& out) {
+  out.assign(1, '\0');
+  KeyVisitor key{out};
+  key.put(static_cast<std::uint64_t>(inst.kind.size()));
+  out.append(inst.kind);
+  key.put(static_cast<std::uint8_t>(inst.payload.index()));
+  std::visit(key, inst.payload);
+  return key_hash(out);
+}
+
+InstanceKey canonical_key(const Instance& inst) {
+  InstanceKey key;
+  key.hash = canonical_bytes_into(inst, key.bytes);
+  return key;
+}
+
+std::uint64_t instance_hash(const Instance& inst) {
+  return canonical_key(inst).hash;
 }
 
 std::uint64_t fnv1a64(std::string_view bytes) noexcept {
@@ -484,15 +513,6 @@ std::uint64_t fnv1a64(std::string_view bytes) noexcept {
   for (char c : bytes)
     hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
   return hash;
-}
-
-InstanceKey canonical_key(const Instance& inst) {
-  InstanceKey key;
-  HashingBuf buf(&key.text);
-  std::ostream out(&buf);
-  serialize_instance(inst, out);
-  key.hash = buf.hash();
-  return key;
 }
 
 void serialize_instance(const Instance& inst, std::ostream& out) {

@@ -144,39 +144,43 @@ struct Instance {
 
 // --- canonicalization & hashing ---------------------------------------------
 //
-// The serializer emits a unique, deterministic text form for any payload
-// (fixed key order, fixed vector wrapping, precision-17 doubles), so the
-// serialized text IS the canonical form: two instances are semantically
-// equal iff their canonical texts are byte-identical, and the form is
-// stable across parse/serialize round-trips.  The service layer's result
-// cache keys on the 64-bit FNV-1a hash of that text (cheap shard pick)
-// plus the text itself (exact equality, so a hash collision can never
-// return the wrong cached result).
+// Two canonical forms, one per job.  The text serialization further down
+// (fixed key order and vector wrapping, precision-17 doubles) is the wire
+// and journal format.  The result cache keys on the *binary* canonical
+// key: a leading '\0', the kind (u64 length + bytes), the payload's
+// variant index (one byte), then every field in declaration order — a
+// vector as a u64 length plus one memcpy of its elements; CostSpec, dag
+// edges and boundary pairs field by field, so struct padding never
+// enters; a bool as one 0/1 byte.  Native byte order, in memory only,
+// never persisted (docs/INSTANCE_FORMAT.md).
+//
+// Equal keys mean equal canonical texts; keys stay distinct where texts
+// are not (NaN payloads, a payload under a mismatched kind), so a cache
+// hit can never be wrong.  The leading '\0' keeps every key disjoint
+// from the service's "cordon-session ..." version keys.
 
 struct InstanceKey {
-  std::uint64_t hash = 0;  // FNV-1a 64 of `text`
-  std::string text;        // canonical serialization
+  std::uint64_t hash = 0;  // 64-bit hash of `bytes`
+  std::string bytes;       // binary canonical form
 
   friend bool operator==(const InstanceKey&, const InstanceKey&) = default;
 };
 
-/// FNV-1a 64 of the canonical text, computed in one streaming pass
-/// without materializing the text.
+/// Hash of the binary canonical key.
 [[nodiscard]] std::uint64_t instance_hash(const Instance& inst);
 
-/// Canonical text plus its hash (one serialization pass).
+/// Binary canonical key plus its hash.
 [[nodiscard]] InstanceKey canonical_key(const Instance& inst);
 
-/// Serializes the canonical text into `out` (cleared first), reusing its
-/// capacity — the zero-allocation-when-warm form of to_string.  The
-/// service's submit path serializes each instance exactly once into a
-/// reused buffer, hashes the bytes with fnv1a64, and compares candidate
-/// cache keys by memcmp against the same buffer.
-void canonical_text_into(const Instance& inst, std::string& out);
+/// Writes the binary canonical key into `out` (cleared first, capacity
+/// reused) and returns its hash — the zero-allocation-when-warm form of
+/// canonical_key.  The service's submit path canonicalizes each instance
+/// exactly once into a reused buffer and compares candidate cache keys
+/// by memcmp against the same buffer.
+std::uint64_t canonical_bytes_into(const Instance& inst, std::string& out);
 
-/// FNV-1a 64 over raw bytes — the same function instance_hash streams
-/// through the serializer, exposed so a materialized canonical text
-/// hashes to the identical value.
+/// FNV-1a 64 over raw bytes: the journal's record checksums and the
+/// session lineage hashes, all computed over text.
 [[nodiscard]] std::uint64_t fnv1a64(std::string_view bytes) noexcept;
 
 // --- text round-trip --------------------------------------------------------

@@ -57,17 +57,15 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
                 std::chrono::steady_clock::now() - submit_t0)
                 .count()));
   };
-  // Hash-first probe, one serialization total: the canonical bytes go
-  // into a thread-local buffer whose capacity is reused across submits
-  // (zero allocation when warm), the 64-bit key hash is computed from
-  // those bytes, and a full-hash bucket hit compares candidates by
-  // straight memcmp against the same buffer.  A cold probe never
-  // compares text at all, and only the miss path copies the buffer into
-  // an owned key.
+  // Hash-first probe, one canonicalization total: the binary canonical
+  // key goes into a thread-local buffer whose capacity is reused across
+  // submits (zero allocation when warm), and a full-hash bucket hit
+  // compares candidates by straight memcmp against the same buffer.  A
+  // cold probe never compares key bytes at all, and only the miss path
+  // copies the buffer into an owned key.
   thread_local std::string canonical_buf;
-  engine::canonical_text_into(inst, canonical_buf);
   engine::InstanceKey key;
-  key.hash = engine::fnv1a64(canonical_buf);
+  key.hash = engine::canonical_bytes_into(inst, canonical_buf);
   if (cache_ != nullptr) {
     auto hit = cache_->get_matching(key.hash, [&](std::string_view stored) {
       return stored == canonical_buf;
@@ -85,9 +83,9 @@ std::future<engine::SolveResult> CordonService::submit(engine::Instance inst,
       return ready.get_future();
     }
   }
-  // Miss path: the dispatcher needs an owned copy of the canonical text
+  // Miss path: the dispatcher needs an owned copy of the canonical key
   // (in-batch coalescing, cache insertion).
-  key.text = canonical_buf;
+  key.bytes = canonical_buf;
   // A timeout materializes as an absolute deadline on the request's
   // token (created on demand) so the dispatcher and the solver's
   // round-boundary polls see one coherent clock.
@@ -183,9 +181,9 @@ void CordonService::fail_pending(Pending& p, core::SolveErrorCode code,
 namespace {
 
 /// Cache key text for one session version.  The "cordon-session" prefix
-/// is disjoint from every canonical instance header ("cordon-instance"),
-/// so version entries can never collide with plain submit() keys; the
-/// delta-chain hash makes two lineages that happen to share (base,
+/// is disjoint from every binary canonical instance key (those start
+/// with '\0'), so version entries can never collide with plain submit()
+/// keys; the delta-chain hash makes two lineages that happen to share (base,
 /// version) but applied different deltas distinct.
 std::string session_version_key(std::uint64_t base_hash, std::uint64_t version,
                                 std::uint64_t chain_hash) {
@@ -211,9 +209,13 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
 
   auto session = std::make_shared<Session>();
   session->solver = solver;
-  engine::InstanceKey key = engine::canonical_key(base);
-  session->base_hash = key.hash;
-  session->chain_hash = key.hash;  // lineage hash seeded from the base
+  // The journal stores the base as text, and the lineage hashes are
+  // seeded from that text's FNV-1a so journals stay replayable across
+  // builds; the cache pins the base under its binary key.
+  const std::string base_text = engine::to_string(base);
+  session->base_hash = engine::fnv1a64(base_text);
+  session->chain_hash = session->base_hash;
+  session->base_key = engine::canonical_key(base);
 
   // Base solve on the calling thread (adopting a pool slot so solver
   // forks are stealable), checkpointing resumable state when the family
@@ -233,7 +235,7 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     // no pinned cache entry, and no journal file left behind.
     try {
       session->journal =
-          SessionJournal::create(opt_.journal_dir, id, base.kind, key.text);
+          SessionJournal::create(opt_.journal_dir, id, base.kind, base_text);
       journal_writes_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       journal_errors_.fetch_add(1, std::memory_order_relaxed);
@@ -241,8 +243,8 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     }
   }
   if (cache_ != nullptr)
-    cache_->put_pinned(key.hash, key.text, result);
-  session->base_key_text = std::move(key.text);
+    cache_->put_pinned(session->base_key.hash, session->base_key.bytes,
+                       result);
   session->current = std::move(base);
 
   {
@@ -389,7 +391,7 @@ void CordonService::close_session(std::uint64_t id) {
     }
   }
   if (cache_ != nullptr)
-    cache_->unpin(session->base_hash, session->base_key_text);
+    cache_->unpin(session->base_key.hash, session->base_key.bytes);
   telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, -1);
   sessions_closed_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -457,11 +459,9 @@ std::vector<std::uint64_t> CordonService::recover() {
     }
     auto session = std::make_shared<Session>();
     session->solver = solver;
-    engine::InstanceKey key;
-    key.text = replay->base_text;
-    key.hash = engine::fnv1a64(key.text);
-    session->base_hash = key.hash;
-    session->chain_hash = key.hash;
+    session->base_hash = engine::fnv1a64(replay->base_text);
+    session->chain_hash = session->base_hash;
+    session->base_key = engine::canonical_key(base);
     parallel::ExternalWorkerScope adopt;
     engine::SolveResult base_result;
     if (opt_.use_reference) {
@@ -469,8 +469,9 @@ std::vector<std::uint64_t> CordonService::recover() {
     } else {
       base_result = solver->solve_checkpoint(base, session->state);
     }
-    if (cache_ != nullptr) cache_->put_pinned(key.hash, key.text, base_result);
-    session->base_key_text = key.text;
+    if (cache_ != nullptr)
+      cache_->put_pinned(session->base_key.hash, session->base_key.bytes,
+                         base_result);
     session->current = std::move(base);
     bool ok = true;
     for (const SessionJournal::ReplayDelta& rd : replay->deltas) {
@@ -751,7 +752,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
   core::Arena& arena = core::worker_arena();
   core::ArenaScope assembly(arena);
 
-  // Coalesce: identical canonical texts collapse onto the first
+  // Coalesce: identical canonical keys collapse onto the first
   // occurrence (the "leader"); one solve serves every duplicate.
   struct Group {
     std::size_t leader;
@@ -759,7 +760,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
   };
   core::ArenaVector<Group> groups{core::ArenaAllocator<Group>(arena)};
   {
-    std::unordered_map<std::string_view, std::size_t> by_text;  // -> group
+    std::unordered_map<std::string_view, std::size_t> by_key;  // -> group
     for (std::size_t i = 0; i < taken.size(); ++i) {
       if (taken[i].done) continue;  // already failed in triage
       if (taken[i].token != nullptr) {
@@ -770,7 +771,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
         continue;
       }
       auto [it, fresh] =
-          by_text.try_emplace(std::string_view(taken[i].key.text),
+          by_key.try_emplace(std::string_view(taken[i].key.bytes),
                               groups.size());
       if (fresh) groups.push_back(Group{i, {}});
       groups[it->second].members.push_back(i);
@@ -800,7 +801,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
     live += g.members.size();
     const engine::InstanceKey& key = taken[g.leader].key;
     if (cache_ != nullptr) {
-      if (auto hit = cache_->get(key.hash, key.text)) {
+      if (auto hit = cache_->get(key.hash, key.bytes)) {
         outcomes.push_back(
             {&g, *std::move(hit), nullptr, core::SolveErrorCode::kInternal});
         continue;
@@ -808,7 +809,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
     }
     to_solve.push_back(&g);
     tokens.push_back(taken[g.leader].token.get());
-    // The leader's instance is not read again (key/text live separately
+    // The leader's instance is not read again (its key lives separately
     // in Pending::key), so hand it to the executor without copying.
     batch.push_back(std::move(taken[g.leader].inst));
   }
@@ -843,7 +844,7 @@ void CordonService::run_batch_impl(std::vector<Pending>& taken) {
     if (item.ok) {
       if (cache_ != nullptr) {
         engine::InstanceKey& key = taken[g.leader].key;
-        cache_->put(key.hash, std::move(key.text), item.result);
+        cache_->put(key.hash, std::move(key.bytes), item.result);
       }
       outcomes.push_back(
           {&g, item.result, nullptr, core::SolveErrorCode::kInternal});

@@ -5,7 +5,8 @@
 // number of client threads and returns a std::future<SolveResult>
 // immediately.  Behind the API:
 //
-//   1. submit() canonicalizes the instance (engine::canonical_key) and
+//   1. submit() canonicalizes the instance into its binary canonical key
+//      (engine::canonical_bytes_into: raw field bytes, no text) and
 //      probes the sharded LRU result cache — a hit completes the future
 //      on the spot without touching the solver or the queue.
 //   2. A miss appends the request to the admission queue.  A dedicated
@@ -156,7 +157,7 @@ struct SessionInfo {
   std::uint64_t id = 0;
   std::string kind;
   std::uint64_t version = 0;      // deltas applied so far (base = 0)
-  std::uint64_t base_hash = 0;    // canonical hash of the base instance
+  std::uint64_t base_hash = 0;    // FNV-1a of the base's canonical text
   bool incremental = false;       // family capability (not per-append fate)
   std::uint64_t resumes = 0;      // appends served from saved state
   std::uint64_t cold_solves = 0;  // appends that fell back to a cold solve
@@ -279,8 +280,8 @@ class CordonService {
     const engine::Solver* solver = nullptr;
     engine::Instance current;     // grown in place, amortized O(append)
     std::uint64_t version = 0;
-    std::uint64_t base_hash = 0;
-    std::string base_key_text;    // canonical base text, for unpin on close
+    std::uint64_t base_hash = 0;  // FNV-1a of the base text (journal seed)
+    engine::InstanceKey base_key; // the pinned cache key, for unpin on close
     std::uint64_t chain_hash = 0; // running hash over applied delta texts
     std::shared_ptr<const engine::SolverState> state;  // null = cold next
     std::uint64_t resumes = 0;

@@ -6,18 +6,19 @@
 // bucket choice) AND is stored alongside every entry as the primary
 // index: a probe walks the (almost always empty or single-element)
 // bucket of entries sharing the full 64-bit hash and only then decides
-// equality on the full key text — so a MISS never touches key bytes at
-// all, and a hit compares text exactly once.  `get_matching` takes the
-// comparison as a callback, which is what lets CordonService probe with
-// a streaming serializer instead of a materialized string: a hash
-// collision can still never return the wrong entry, only cost one extra
-// comparison.
+// equality on the full key bytes — so a MISS never touches key bytes at
+// all, and a hit compares them exactly once.  Keys are opaque byte
+// strings: CordonService stores binary canonical instance keys and
+// session version keys side by side.  `get_matching` takes the
+// comparison as a callback, so a caller can compare against a buffer it
+// already holds; a hash collision can still never return the wrong
+// entry, only cost one extra comparison.
 //
 // The matcher runs OUTSIDE the shard lock: the probe snapshots the
 // candidate keys' shared_ptr handles under the mutex (refcount bumps,
-// no allocation), compares unlocked — the comparison may be a full
-// instance re-serialization, which must not serialize other clients of
-// the shard — and re-locks to refresh recency and copy the value,
+// no allocation), compares unlocked — an instance key can be tens of
+// kilobytes, and its memcmp must not serialize other clients of the
+// shard — and re-locks to refresh recency and copy the value,
 // tolerating a concurrent eviction by reporting a miss.
 //
 // Threading: every public method is safe to call concurrently from any
@@ -85,9 +86,9 @@ class ShardedLruCache {
         return std::nullopt;
       }
     }
-    // Equality — possibly a full streaming re-serialization — runs with
-    // no lock held; the shared_ptr keeps the key text alive even if the
-    // entry is evicted meanwhile.
+    // Equality — a memcmp over a possibly large key — runs with no lock
+    // held; the shared_ptr keeps the key bytes alive even if the entry
+    // is evicted meanwhile.
     KeyHandle matched;
     for (std::size_t i = 0; i < n; ++i) {
       if (matches(std::string_view(*cand[i]))) {
@@ -207,7 +208,8 @@ class ShardedLruCache {
     std::uint32_t pins = 0;  // > 0 exempts the entry from eviction
   };
 
-  // The stored hashes are already 64-bit FNV-1a: feed them through.
+  // The stored hashes are already well-mixed 64-bit values: feed them
+  // through.
   struct IdentityHash {
     std::size_t operator()(std::uint64_t h) const noexcept {
       return static_cast<std::size_t>(h);

@@ -14,6 +14,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -384,6 +385,73 @@ TEST(Chaos, JournalRecoveryRoundTripIsBitIdentical) {
     cs::CordonService svc({.journal_dir = dir.string()});
     EXPECT_TRUE(svc.recover().empty());
   }
+  fs::remove_all(dir);
+}
+
+// The cache keys on binary canonical bytes, but the journal's lineage
+// hashes stay FNV-1a over TEXT, so journals written by older builds
+// still replay.  Read the file directly and pin the chain a delta
+// record carries to (fnv(base text) * FNV prime) ^ fnv(delta text).
+TEST(Chaos, JournalChainIsSeededFromTheBaseText) {
+  fs::path dir = scratch_dir("chain-seed");
+  const ce::Solver& lis = ce::builtin_registry().at("lis");
+  ce::Instance full = lis.generate({300, 4, 5});
+  ce::Instance base = ce::prefix_instance(full, 200);
+  ce::Delta delta = ce::slice_delta(full, 200, 250, 0);
+  const std::string base_text = ce::to_string(base);
+  std::uint64_t id = 0;
+  double base_objective = 0;
+  {
+    cs::CordonService svc({.journal_dir = dir.string()});
+    id = svc.create_session(base);
+    base_objective = svc.submit(base).get().objective;
+    (void)svc.append(id, delta).get();
+    EXPECT_EQ(svc.session_info(id)->base_hash, ce::fnv1a64(base_text));
+    // Crash without close: the journal survives.
+  }
+
+  std::ifstream in(dir / ("session-" + std::to_string(id) + ".jnl"),
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));  // journal header
+  std::string base_record, delta_record;
+  std::uint64_t delta_version = 0, chain = 0;
+  while (std::getline(in, line)) {
+    std::istringstream head(line);
+    std::string keyword, fnv_hex, chain_hex;
+    std::uint64_t nbytes = 0;
+    head >> keyword;
+    if (keyword == "delta") head >> delta_version;
+    ASSERT_TRUE(head >> nbytes >> fnv_hex) << line;
+    std::string payload(nbytes + 1, '\0');  // + the separating newline
+    ASSERT_TRUE(in.read(payload.data(),
+                        static_cast<std::streamsize>(payload.size())));
+    payload.pop_back();
+    if (keyword == "base") {
+      base_record = std::move(payload);
+    } else {
+      ASSERT_EQ(keyword, "delta");
+      ASSERT_TRUE(head >> chain_hex) << line;
+      chain = std::stoull(chain_hex, nullptr, 16);
+      delta_record = std::move(payload);
+    }
+  }
+  EXPECT_EQ(base_record, base_text);
+  EXPECT_EQ(delta_record, ce::to_string(delta));
+  EXPECT_EQ(delta_version, 1u);
+  EXPECT_EQ(chain, (ce::fnv1a64(base_text) * 1099511628211ull) ^
+                       ce::fnv1a64(ce::to_string(delta)));
+
+  // Recovery pins the base under its binary key: a text round-tripped
+  // copy of the base is a cache hit.
+  cs::CordonService svc({.journal_dir = dir.string()});
+  ASSERT_EQ(svc.recover(), std::vector<std::uint64_t>{id});
+  const std::uint64_t hits = svc.stats().cache.hits;
+  EXPECT_EQ(svc.submit(ce::from_string(base_text)).get().objective,
+            base_objective);
+  EXPECT_EQ(svc.stats().cache.hits, hits + 1);
+  svc.close_session(id);
   fs::remove_all(dir);
 }
 

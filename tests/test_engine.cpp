@@ -99,15 +99,12 @@ TEST_P(SolverSweep, CanonicalHashStableAcrossRoundTrip) {
   ce::Instance inst = solver.generate({n, /*k=*/4, seed});
 
   ce::InstanceKey key = ce::canonical_key(inst);
-  // The canonical text is exactly the serialized form, and the streaming
-  // hash agrees with hashing the materialized text.
-  EXPECT_EQ(key.text, ce::to_string(inst));
   EXPECT_EQ(key.hash, ce::instance_hash(inst));
 
-  // Parse -> re-canonicalize is the identity: equal instances hash equal
-  // across serialization round-trips.
-  ce::Instance back = ce::from_string(key.text);
-  EXPECT_EQ(ce::canonical_key(back), key) << kind << " round-trip";
+  // Parse -> re-canonicalize is the identity: the binary key survives a
+  // trip through the text format, so equal instances hash equal.
+  EXPECT_EQ(ce::canonical_key(ce::from_string(ce::to_string(inst))), key)
+      << kind << " round-trip";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -404,4 +401,91 @@ TEST(InstanceHash, EqualPayloadsHashEqual) {
   ce::Instance a{"lis", ce::LisInstance{{5, 3, 9, 1}}};
   ce::Instance b{"lis", ce::LisInstance{{5, 3, 9, 1}}};
   EXPECT_EQ(ce::canonical_key(a), ce::canonical_key(b));
+}
+
+TEST(InstanceKey, SignedZeroWeightsStayDistinct) {
+  // "-0" and "0" are different texts, so they must be different keys.
+  ce::Instance neg{"oat", ce::OatInstance{{1.0, -0.0, 2.0}}};
+  ce::Instance pos{"oat", ce::OatInstance{{1.0, 0.0, 2.0}}};
+  EXPECT_NE(ce::canonical_key(neg), ce::canonical_key(pos));
+}
+
+TEST(InstanceKey, LastElementOfEveryVectorFieldCounts) {
+  // Bumping the final element of each vector field changes the key: the
+  // whole vector is covered, not a prefix.
+  auto add = [&](const std::string& kind, const ce::Payload& base,
+                 auto&& mutate) {
+    ce::Instance a{kind, base};
+    ce::Instance b{kind, base};
+    mutate(b.payload);
+    EXPECT_NE(ce::canonical_key(a), ce::canonical_key(b)) << kind;
+  };
+  add("lis", ce::LisInstance{{5, 3, 9}},
+      [](ce::Payload& p) { std::get<ce::LisInstance>(p).values.back() += 1; });
+  ce::LcsInstance lcs{{1, 2, 3}, {3, 2, 1}};
+  add("lcs", lcs,
+      [](ce::Payload& p) { std::get<ce::LcsInstance>(p).a.back() += 1; });
+  add("lcs", lcs,
+      [](ce::Payload& p) { std::get<ce::LcsInstance>(p).b.back() += 1; });
+  ce::GapInstance gap{{1, 2, 3}, {3, 2, 1}, {}, {}};
+  add("gap", gap,
+      [](ce::Payload& p) { std::get<ce::GapInstance>(p).a.back() += 1; });
+  add("gap", gap,
+      [](ce::Payload& p) { std::get<ce::GapInstance>(p).b.back() += 1; });
+  add("oat", ce::OatInstance{{1.0, 2.0, 3.0}}, [](ce::Payload& p) {
+    std::get<ce::OatInstance>(p).weights.back() += 0.5;
+  });
+  add("obst", ce::ObstInstance{{1.0, 2.0, 3.0}}, [](ce::Payload& p) {
+    std::get<ce::ObstInstance>(p).weights.back() += 0.5;
+  });
+  add("treeglws", ce::TreeGlwsInstance{{0xffffffffu, 0, 0}, 0.0, {}},
+      [](ce::Payload& p) {
+        std::get<ce::TreeGlwsInstance>(p).parent.back() = 1;
+      });
+  ce::DagInstance dag;
+  dag.n = 3;
+  dag.boundary = {{0, 0.0}, {1, 2.0}};
+  dag.edges = {{0, 1, 1.0, true}, {1, 2, 2.0, true}};
+  add("dag", dag, [](ce::Payload& p) {
+    std::get<ce::DagInstance>(p).boundary.back().second += 1.0;
+  });
+  add("dag", dag, [](ce::Payload& p) {
+    std::get<ce::DagInstance>(p).edges.back().weight += 1.0;
+  });
+}
+
+TEST(InstanceKey, DagEdgeEffectiveFlagCounts) {
+  ce::DagInstance a;
+  a.n = 2;
+  a.boundary = {{0, 0.0}};
+  a.edges = {{0, 1, 1.5, true}};
+  ce::DagInstance b = a;
+  b.edges[0].effective = false;
+  EXPECT_NE(ce::canonical_key(ce::Instance{"dag", a}),
+            ce::canonical_key(ce::Instance{"dag", b}));
+}
+
+TEST(InstanceKey, NeverCollidesWithSessionVersionKeys) {
+  // The service stores "cordon-session ..." version keys in the same
+  // cache as instance keys; no instance key may start that way.
+  for (const std::string& kind : kAllKinds) {
+    const ce::Solver& solver = ce::builtin_registry().at(kind);
+    std::string bytes = ce::canonical_key(solver.generate({30, 4, 7})).bytes;
+    EXPECT_FALSE(bytes.starts_with("cordon-session")) << kind;
+    EXPECT_EQ(bytes.front(), '\0') << kind;
+  }
+  ce::Instance named{"cordon-session", ce::LisInstance{{1}}};
+  EXPECT_FALSE(ce::canonical_key(named).bytes.starts_with("cordon-session"));
+}
+
+TEST(InstanceKey, BytesIntoReusesTheBufferAndMatchesTheKey) {
+  const ce::Solver& lis = ce::builtin_registry().at("lis");
+  ce::Instance big = lis.generate({500, 4, 3});
+  ce::Instance small = lis.generate({20, 4, 3});
+  std::string buf;
+  EXPECT_EQ(ce::canonical_bytes_into(big, buf), ce::instance_hash(big));
+  EXPECT_EQ(buf, ce::canonical_key(big).bytes);
+  // A second call overwrites rather than appends.
+  EXPECT_EQ(ce::canonical_bytes_into(small, buf), ce::instance_hash(small));
+  EXPECT_EQ(buf, ce::canonical_key(small).bytes);
 }

@@ -200,6 +200,34 @@ TEST(CordonService, RepeatSubmitIsServedFromCache) {
   EXPECT_EQ(stats.completed, 2u);
 }
 
+// Clients ship text; the cache keys on binary bytes.  A copy that went
+// through the text format must land on the same entry — both a plain
+// cached result and a session's pinned base.
+TEST(CordonService, TextRoundTrippedCopyHitsTheCache) {
+  const ce::Solver& solver = ce::builtin_registry().at("oat");
+  ce::Instance inst = solver.generate({300, 4, 9});
+  const double want = solver.solve(inst).objective;
+
+  {
+    cs::CordonService svc;
+    EXPECT_EQ(svc.submit(inst).get().objective, want);
+    const std::uint64_t hits = svc.stats().cache.hits;
+    EXPECT_EQ(svc.submit(ce::from_string(ce::to_string(inst))).get().objective,
+              want);
+    EXPECT_EQ(svc.stats().cache.hits, hits + 1);
+  }
+  {
+    cs::CordonService svc;
+    std::uint64_t id = svc.create_session(inst);
+    const std::uint64_t hits = svc.stats().cache.hits;
+    EXPECT_EQ(svc.submit(ce::from_string(ce::to_string(inst))).get().objective,
+              want);
+    EXPECT_EQ(svc.stats().cache.hits, hits + 1);
+    EXPECT_EQ(svc.stats().solver.requests, 0u);  // served by the pinned base
+    svc.close_session(id);
+  }
+}
+
 TEST(CordonService, DuplicatesInFlightCollapseToOneSolve) {
   // A wide batching window keeps all duplicates in one dispatch; even if
   // they split across dispatches, the dispatcher's cache re-probe means
