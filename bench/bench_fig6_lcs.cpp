@@ -74,8 +74,11 @@ int main() {
       // size — the series the scaling gate reads.
       lcs::LcsResult auto_res;
       double auto_s = bench::time_s([&] { auto_res = lcs::lcs_auto(pairs); });
-      // The paper's "ours (1 thread)": the raw parallel algorithm inline.
+      // The raw parallel algorithm at the current pool size, routing
+      // bypassed: the curve kRoutes' lcs row is re-derived from.
       lcs::LcsResult par_res;
+      double par = bench::time_s([&] { par_res = lcs::lcs_parallel(pairs); });
+      // The paper's "ours (1 thread)": the raw parallel algorithm inline.
       double one;
       {
         parallel::SequentialRegion seq_region;
@@ -83,7 +86,8 @@ int main() {
       }
       lcs::LcsResult seq_res;
       double seq = bench::time_s([&] { seq_res = lcs::lcs_sparse_seq(pairs); });
-      bool ok = auto_res.length == seq_res.length;
+      bool ok = auto_res.length == seq_res.length &&
+                par_res.length == seq_res.length;
       std::printf("%-8zu %-8zu %-9.4f %-11.4f %-9.4f  %-9s %-8s",
                   pairs.size(), static_cast<std::size_t>(auto_res.length),
                   auto_s, one, seq, core::solve_path_name(auto_res.path),
@@ -95,6 +99,7 @@ int main() {
            .n = n,
            .seconds = auto_s,
            .one_thread_s = one,
+           .parallel_s = par,
            .sequential_s = seq,
            .path = auto_res.path,
            .verified = ok,

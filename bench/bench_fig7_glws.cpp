@@ -40,8 +40,13 @@ int main() {
     double auto_s = bench::time_s([&] {
       auto_res = glws::glws_auto(n, 0.0, w, e, glws::Shape::kConvex);
     });
-    // The paper's "ours (1 thread)": the raw parallel algorithm inline.
+    // The raw parallel algorithm at the current pool size, routing
+    // bypassed: the curve kRoutes' glws row is re-derived from.
     glws::GlwsResult par_res;
+    double par = bench::time_s([&] {
+      par_res = glws::glws_parallel(n, 0.0, w, e, glws::Shape::kConvex);
+    });
+    // The paper's "ours (1 thread)": the raw parallel algorithm inline.
     double one;
     {
       parallel::SequentialRegion seq_region;
@@ -53,8 +58,9 @@ int main() {
     double seq = bench::time_s([&] {
       seq_res = glws::glws_sequential(n, 0.0, w, e, glws::Shape::kConvex);
     });
-    bool ok = std::abs(auto_res.d[n] - seq_res.d[n]) <=
-              1e-6 * (1.0 + std::abs(seq_res.d[n]));
+    const double eps = 1e-6 * (1.0 + std::abs(seq_res.d[n]));
+    bool ok = std::abs(auto_res.d[n] - seq_res.d[n]) <= eps &&
+              std::abs(par_res.d[n] - seq_res.d[n]) <= eps;
     // k = number of offices = length of the best-decision chain.
     std::size_t k = 0;
     for (std::size_t i = n; i != 0; i = auto_res.best[i]) ++k;
@@ -67,6 +73,7 @@ int main() {
                          .n = n,
                          .seconds = auto_s,
                          .one_thread_s = one,
+                         .parallel_s = par,
                          .sequential_s = seq,
                          .path = auto_res.path,
                          .verified = ok,

@@ -51,6 +51,10 @@ int main() {
     // size — the series the scaling gate reads.
     double ta = bench::time_s(
         [&] { av = gap::gap_auto(a, b, w1, w2, glws::Shape::kConvex); });
+    // The raw parallel algorithm at the current pool size, routing
+    // bypassed: the curve kRoutes' gap row is re-derived from.
+    double tp = bench::time_s(
+        [&] { pv = gap::gap_parallel(a, b, w1, w2, glws::Shape::kConvex); });
     // The paper's "ours (1 thread)": the raw parallel algorithm inline.
     double tp1;
     {
@@ -59,6 +63,7 @@ int main() {
           [&] { pv = gap::gap_parallel(a, b, w1, w2, glws::Shape::kConvex); });
     }
     bool ok = std::abs(sv.distance - av.distance) < 1e-6 &&
+              std::abs(sv.distance - pv.distance) < 1e-6 &&
               (tn < 0 || std::abs(nv.distance - av.distance) < 1e-6);
     std::printf(
         "%-7zu %-9.4f %-9.4f %-9.4f %-11.4f %-9s %-7llu %llu/%llu/%llu %s\n",
@@ -72,6 +77,7 @@ int main() {
                          .n = n,
                          .seconds = ta,
                          .one_thread_s = tp1,
+                         .parallel_s = tp,
                          .sequential_s = ts,
                          .path = av.path,
                          .verified = ok,

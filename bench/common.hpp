@@ -225,6 +225,7 @@ class JsonEmitter {
     std::size_t n = 0;
     double seconds = 0;
     double one_thread_s = 0;
+    double parallel_s = 0;  // raw *_parallel at the current pool, no routing
     double sequential_s = 0;
     core::SolvePath path = core::SolvePath::kParallel;
     bool verified = true;
@@ -238,6 +239,7 @@ class JsonEmitter {
                                   {"n", p.n},
                                   {"seconds", p.seconds},
                                   {"one_thread_s", p.one_thread_s},
+                                  {"parallel_s", p.parallel_s},
                                   {"sequential_s", p.sequential_s},
                                   {"path", core::solve_path_name(p.path)},
                                   {"verified", p.verified ? 1 : 0},

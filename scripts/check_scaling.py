@@ -21,6 +21,12 @@ used in its "threads" field) and enforces, for the gated families
      slower" is exactly what adaptive routing promises; families that
      do go parallel (glws at >= 4 workers) must genuinely win.
 
+Records may also carry `parallel_s`: the raw parallel algorithm at the
+record's pool size with routing bypassed.  When present, each curve
+point also prints its raw speedup (`raw=`), the data the routing table
+(core::kRoutes) is re-derived from; it is informational and gates
+nothing.  Older trajectories without the field are read unchanged.
+
 When the runner has fewer cores than --min-threads, gate 3 is SKIPPED
 with a loud warning (oversubscribed "4 threads" on 1 core measures the
 scheduler, not the algorithm) — gates 1 and 2 still run.  Minima over
@@ -53,7 +59,7 @@ def load(path):
     """Returns (meta, points, engine) from a trajectory file.
 
     points[family][(n, extra)][threads] = {"seconds": min, "one": min,
-    "seq": min, "paths": set, "unverified": count}
+    "par": min, "seq": min, "paths": set, "unverified": count}
     """
     meta = {}
     points = defaultdict(lambda: defaultdict(dict))
@@ -85,12 +91,14 @@ def load(path):
             cell = points[family][(n, extra)].setdefault(
                 threads,
                 {"seconds": float("inf"), "one": float("inf"),
-                 "seq": float("inf"), "paths": set(), "unverified": 0})
+                 "par": float("inf"), "seq": float("inf"), "paths": set(),
+                 "unverified": 0})
             cell["seconds"] = min(cell["seconds"], sec)
             cell["seq"] = min(cell["seq"], seq)
-            one = rec.get("one_thread_s")
-            if isinstance(one, (int, float)):
-                cell["one"] = min(cell["one"], one)
+            for field, slot in (("one_thread_s", "one"), ("parallel_s", "par")):
+                v = rec.get(field)
+                if isinstance(v, (int, float)):
+                    cell[slot] = min(cell[slot], v)
             cell["paths"].add(rec.get("path", "?"))
             if rec.get("verified") == 0:
                 cell["unverified"] += 1
@@ -144,7 +152,10 @@ def main():
                     failed = True
                 speedup = (cell["seq"] / cell["seconds"]
                            if cell["seconds"] > 0 else float("inf"))
-                curve.append(f"t={t}:{speedup:5.2f}x[{'/'.join(sorted(cell['paths']))}]")
+                raw = (f" raw={cell['seq'] / cell['par']:5.2f}x"
+                       if 0 < cell["par"] < float("inf") else "")
+                curve.append(f"t={t}:{speedup:5.2f}x"
+                             f"[{'/'.join(sorted(cell['paths']))}]{raw}")
             print(f"check_scaling: {family:5s} n={n:<8} {fmt_extra(extra):12s} "
                   f"seq={min(c['seq'] for c in by_threads.values()) * 1e3:9.3f}ms  "
                   + "  ".join(curve))

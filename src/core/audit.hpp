@@ -16,9 +16,9 @@
 // Enablement, first match wins:
 //   * -DCORDON_AUDIT=OFF (CORDON_AUDIT_DISABLED)  -> off everywhere
 //   * -DCORDON_AUDIT=ON  (CORDON_AUDIT_FORCE)     -> on, any build type
-//   * Debug builds (no NDEBUG)                    -> on
-//   * ASan/TSan/UBSan compiled in                 -> on
-//   * otherwise (Release/RelWithDebInfo)          -> off
+//   * otherwise CORDON_CHECKED_BUILD (core/checked_build.hpp): on in
+//     Debug builds and whenever ASan/TSan/UBSan is compiled in, off in
+//     Release/RelWithDebInfo
 //
 // CORDON_AUDIT_SCOPE(...) registers statements to run at scope exit in
 // audit builds (re-verifying an invariant after a mutation spree, e.g.
@@ -32,23 +32,14 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/core/checked_build.hpp"
+
 #if defined(CORDON_AUDIT_DISABLED)
 #define CORDON_AUDIT_ENABLED 0
 #elif defined(CORDON_AUDIT_FORCE)
 #define CORDON_AUDIT_ENABLED 1
-#elif !defined(NDEBUG)
-#define CORDON_AUDIT_ENABLED 1
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CORDON_AUDIT_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(undefined_behavior_sanitizer)
-#define CORDON_AUDIT_ENABLED 1
 #else
-#define CORDON_AUDIT_ENABLED 0
-#endif
-#else
-#define CORDON_AUDIT_ENABLED 0
+#define CORDON_AUDIT_ENABLED CORDON_CHECKED_BUILD
 #endif
 
 namespace cordon::core::audit {

@@ -1,39 +1,30 @@
-// Adaptive sequential-cutoff policy shared by the family solvers.
+// Sequential-cutoff routing and round fusion shared by the family solvers.
 //
 // The parallel algorithms pay a real constant factor over their
 // sequential counterparts (envelope rebuilds, atomic frontiers, fork
-// overhead) that only parallel hardware can buy back.  Each family
-// therefore exposes a `*_auto` entry point that routes a solve to the
-// plain sequential algorithm when there is nothing to buy it back with:
-// when the effective parallelism is below the family's minimum
-// beneficial worker count (single-worker pool, SequentialRegion, or
-// just too few workers to amortize the family's constant factor) or
-// when the instance is below a per-family work threshold.  This is what makes the 1-thread bench series match
-// `sequential_s` for free and keeps small instances out of the
-// scheduler entirely.
+// overhead) that only parallel hardware can buy back.  Each routed
+// family's `*_auto` entry point is one `route()` call, which runs the
+// sequential algorithm when there is nothing to buy it back with: too
+// few effective workers (single-worker pool, SequentialRegion, or below
+// the family's floor) or an instance under the family's size threshold.
+// Both thresholds live in one table, `kRoutes`, retuned by editing it
+// from the bench trajectory's `parallel_s` curves (docs/SCALING.md).
+// This makes the 1-thread bench series match `sequential_s` for free and
+// keeps small instances out of the scheduler entirely.
 //
-// A second, finer knob handles the high-round/low-work regime the
-// thread sweep exposed (e.g. glws with k ~ n/4: thousands of rounds of
-// ~150 relaxations each, which is pure scheduling overhead at any pool
-// size): round fusion runs an individual round inline — under
+// Round fusion handles the high-round/low-work regime (e.g. glws with
+// k ~ n/4: thousands of rounds of ~150 relaxations, pure scheduling
+// overhead at any pool size): a round runs inline — under
 // SequentialRegion, no forks — whenever the previous round's measured
-// relaxation count falls below `fuse_relax_threshold()`.  The solver
-// stays on the parallel path (`SolvePath::kParallel`); fused rounds are
-// only visible in the kSolverFusedRounds telemetry counter.
-//
-// Every threshold is overridable per family through the environment
-// (read on each call so tests can flip it at runtime):
-//   CORDON_GLWS_CUTOFF / CORDON_LCS_CUTOFF / CORDON_GAP_CUTOFF /
-//   CORDON_TREEGLWS_CUTOFF  — instance-size cutoffs, 0 disables the
-//                             size test (parallelism test still applies)
-//   CORDON_<FAMILY>_MIN_WORKERS — workers below which the family routes
-//                             sequentially regardless of size
-//   CORDON_FUSE_RELAX       — per-round relaxation floor for fusion,
-//                             0 disables fusion
+// relaxation count falls below `kFuseRelax`.  The solver stays on the
+// parallel path (`SolvePath::kParallel`); fused rounds are only visible
+// in the kSolverFusedRounds telemetry counter.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <cstdlib>
+#include <cstdint>
+#include <utility>
 
 #include "src/core/dp_stats.hpp"
 #include "src/core/telemetry.hpp"
@@ -41,73 +32,67 @@
 
 namespace cordon::core {
 
-/// Per-family default size cutoffs (in the family's own work unit; see
-/// each `*_auto` doc).  Chosen so that, at the measured ~2-3x 1-thread
-/// overhead of the parallel paths, an instance below the cutoff cannot
-/// win even on a fully parallel machine once fork/round overhead is
-/// paid.  Tuning guidance lives in docs/SCALING.md.
-inline constexpr std::size_t kGlwsSeqCutoff = 2048;      // n states
-inline constexpr std::size_t kLcsSeqCutoff = 4096;       // matched pairs
-inline constexpr std::size_t kGapSeqCutoff = 16384;      // dp cells
-inline constexpr std::size_t kTreeGlwsSeqCutoff = 2048;  // tree nodes
+/// The families with a sequential/parallel routing decision; indexes
+/// `kRoutes`.
+enum class Routed : std::uint8_t { kGlws, kLcs, kGap, kTreeGlws };
 
-/// Minimum worker count at which each family's parallel path can beat
-/// its sequential algorithm, derived from the measured 1-thread
-/// overhead factor of the parallel machinery (BENCH_PR5/PR7 baselines):
-/// glws pays ~2.3x (envelope rebuilds) so 4 workers suffice; lcs
-/// (~5.7x, tournament tree vs a threshold walk) and gap (~6x, staircase
-/// probing + row/column envelope merges) need 8.  Below the family's
-/// floor the `*_auto` entry points route sequentially — that IS the
-/// right production answer on that machine, not a concession.
-/// Overrides: CORDON_<FAMILY>_MIN_WORKERS.
-inline constexpr std::size_t kGlwsMinWorkers = 4;
-inline constexpr std::size_t kLcsMinWorkers = 8;
-inline constexpr std::size_t kGapMinWorkers = 8;
-inline constexpr std::size_t kTreeGlwsMinWorkers = 8;
+/// One family's routing row.  `seq_below` is in the family's own work
+/// unit (see each `*_auto` doc); `min_workers` is the worker count at
+/// which the parallel path can beat the sequential algorithm.
+struct Route {
+  std::size_t seq_below;
+  std::size_t min_workers;
+};
 
-/// Reads an environment override for a cutoff; absent/invalid values
-/// fall back to `fallback`.  "0" is a valid override meaning "size test
-/// disabled".  getenv on every call keeps the knob live for tests.
-inline std::size_t cutoff_from_env(const char* env,
-                                   std::size_t fallback) noexcept {
-  if (const char* v = std::getenv(env)) {
-    char* end = nullptr;
-    long parsed = std::strtol(v, &end, 10);
-    if (end != v && parsed >= 0) return static_cast<std::size_t>(parsed);
+/// The routing table, one row per `Routed` family.  Size thresholds are
+/// chosen so that, at the measured ~2-3x 1-thread overhead of the
+/// parallel paths, an instance below them cannot win even on a fully
+/// parallel machine once fork/round overhead is paid.  Worker floors
+/// come from the measured 1-thread overhead factor (BENCH_PR5/PR7
+/// baselines): glws pays ~2.3x (envelope rebuilds) so 4 workers
+/// suffice; lcs (~5.7x, tournament tree vs a threshold walk) and gap
+/// (~6x, staircase probing + row/column envelope merges) need 8.  Below
+/// the floor, routing sequentially IS the right production answer on
+/// that machine, not a concession.
+inline constexpr std::array<Route, 4> kRoutes{{
+    {2048, 4},   // kGlws: n states
+    {4096, 8},   // kLcs: matched pairs
+    {16384, 8},  // kGap: dp cells
+    {2048, 8},   // kTreeGlws: tree nodes
+}};
+
+[[nodiscard]] constexpr const Route& route_of(Routed family) noexcept {
+  return kRoutes[static_cast<std::size_t>(family)];
+}
+
+/// The routing decision: runs `seq()` when fewer than the family's
+/// `min_workers` workers are effectively available or `work` is under
+/// its `seq_below`, stamping the result's `path` as kSequentialCutoff
+/// and bumping kSolverSeqCutoffs; runs `par()` otherwise.
+template <class Seq, class Par>
+auto route(Routed family, std::size_t work, Seq&& seq, Par&& par) {
+  const Route& r = route_of(family);
+  if (parallel::effective_parallelism() < r.min_workers ||
+      work < r.seq_below) {
+    telemetry::count(telemetry::Counter::kSolverSeqCutoffs);
+    auto res = std::forward<Seq>(seq)();
+    res.path = SolvePath::kSequentialCutoff;
+    return res;
   }
-  return fallback;
+  return std::forward<Par>(par)();
 }
 
-/// The routing decision: sequential when fewer than `min_workers`
-/// workers are effectively available (a pool the parallel path cannot
-/// win on), or when the instance's work measure is under the (possibly
-/// env-overridden) threshold.  Bumps kSolverSeqCutoffs when it routes
-/// sequentially so telemetry shows the path.
-inline bool use_sequential(std::size_t work, std::size_t threshold,
-                           std::size_t min_workers = 2) noexcept {
-  bool seq = parallel::effective_parallelism() < min_workers ||
-             (threshold > 0 && work < threshold);
-  if (seq) telemetry::count(telemetry::Counter::kSolverSeqCutoffs);
-  return seq;
-}
-
-/// Default relaxations-per-round floor below which round fusion kicks
-/// in.  A round this light is dominated by fork + frontier-rebuild
-/// overhead at any worker count; running it inline costs at most
-/// threshold relaxations of sequential work per round.
-inline constexpr std::size_t kDefaultFuseRelax = 4096;
-
-/// The live fusion threshold (CORDON_FUSE_RELAX override; 0 disables).
-inline std::size_t fuse_relax_threshold() noexcept {
-  return cutoff_from_env("CORDON_FUSE_RELAX", kDefaultFuseRelax);
-}
+/// Relaxations-per-round floor below which round fusion kicks in.  A
+/// round this light is dominated by fork + frontier-rebuild overhead at
+/// any worker count; running it inline costs at most this many
+/// relaxations of sequential work per round.
+inline constexpr std::size_t kFuseRelax = 4096;
 
 /// Decides whether the NEXT round should run inline, given the measured
 /// relaxation count of the previous round (pass ~SIZE_MAX before the
 /// first round so it never fuses blind).  Bumps kSolverFusedRounds.
-inline bool fuse_round(std::size_t prev_round_relaxations,
-                       std::size_t threshold) noexcept {
-  if (threshold == 0 || prev_round_relaxations >= threshold) return false;
+inline bool fuse_round(std::size_t prev_round_relaxations) noexcept {
+  if (prev_round_relaxations >= kFuseRelax) return false;
   telemetry::count(telemetry::Counter::kSolverFusedRounds);
   return true;
 }

@@ -48,24 +48,14 @@
 #include <thread>
 
 #include "src/core/cancel.hpp"
+#include "src/core/checked_build.hpp"
 
 #if defined(CORDON_FAULT_DISABLED)
 #define CORDON_FAULT_ENABLED 0
 #elif defined(CORDON_FAULT_FORCE)
 #define CORDON_FAULT_ENABLED 1
-#elif !defined(NDEBUG)
-#define CORDON_FAULT_ENABLED 1
-#elif defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define CORDON_FAULT_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(undefined_behavior_sanitizer)
-#define CORDON_FAULT_ENABLED 1
 #else
-#define CORDON_FAULT_ENABLED 0
-#endif
-#else
-#define CORDON_FAULT_ENABLED 0
+#define CORDON_FAULT_ENABLED CORDON_CHECKED_BUILD
 #endif
 
 namespace cordon::core::fault {
@@ -109,11 +99,36 @@ struct FaultPlan {
 namespace detail {
 
 /// The armed plan, published by pointer swap so readers never observe a
-/// half-written plan.  Plans are intentionally leaked: a worker mid-draw
-/// when disarm() lands must not read a destroyed plan.
+/// half-written plan.
 inline std::atomic<const FaultPlan*>& active_plan() noexcept {
   static std::atomic<const FaultPlan*> p{nullptr};
   return p;
+}
+
+/// Every plan ever armed, newest first.  Plans are never freed — a
+/// worker mid-draw when arm()/disarm() lands must not read a destroyed
+/// plan — and the chain keeps each one reachable for the life of the
+/// process, so a replaced plan is retained, not leaked.
+struct RetainedPlan {
+  FaultPlan plan;
+  const RetainedPlan* prev = nullptr;
+};
+
+inline std::atomic<const RetainedPlan*>& retained_plans() noexcept {
+  static std::atomic<const RetainedPlan*> head{nullptr};
+  return head;
+}
+
+/// Copies `plan` into a fresh node linked onto retained_plans() and
+/// returns the copy (a fresh address, so ThreadRng reseeds on it).
+inline const FaultPlan* retain(const FaultPlan& plan) {
+  auto* node = new RetainedPlan{plan};
+  node->prev = retained_plans().load(std::memory_order_relaxed);
+  while (!retained_plans().compare_exchange_weak(
+      node->prev, node, std::memory_order_release,
+      std::memory_order_relaxed)) {
+  }
+  return &node->plan;
 }
 
 inline std::array<std::atomic<std::uint64_t>, kNumSites>&
@@ -174,9 +189,9 @@ inline void arm_from_env() noexcept {
   static bool once = [] {
     const char* spec = std::getenv("CORDON_FAULT");
     if (spec == nullptr || *spec == '\0') return true;
-    auto* plan = new FaultPlan;
-    parse_env_plan(*plan, spec);
-    active_plan().store(plan, std::memory_order_release);
+    FaultPlan plan;
+    parse_env_plan(plan, spec);
+    active_plan().store(retain(plan), std::memory_order_release);
     return true;
   }();
   (void)once;
@@ -190,7 +205,7 @@ inline void arm_from_env() noexcept {
 inline void arm(const FaultPlan& plan) noexcept {
   for (auto& c : detail::injected_counters())
     c.store(0, std::memory_order_relaxed);
-  detail::active_plan().store(new FaultPlan(plan), std::memory_order_release);
+  detail::active_plan().store(detail::retain(plan), std::memory_order_release);
 }
 
 inline void disarm() noexcept {

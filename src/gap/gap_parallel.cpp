@@ -116,7 +116,6 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
   // a handful of cells per round; forking the row/column envelope loops
   // for that is pure overhead.  The previous round's measured relaxation
   // count decides whether the next round runs inline.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
 
   while (!done()) {
@@ -125,7 +124,7 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
     std::uint64_t relax_before =
         stats.relaxations.load(std::memory_order_relaxed);
     std::optional<parallel::SequentialRegion> fuse_guard;
-    if (core::fuse_round(prev_round_relax, fuse_threshold))
+    if (core::fuse_round(prev_round_relax))
       fuse_guard.emplace();
     core::ArenaScope round_scope(arena);
     // Relaxed atomic caps over a plain arena span via atomic_ref — the
@@ -333,17 +332,10 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
 GapResult gap_auto(const std::vector<std::uint32_t>& a,
                    const std::vector<std::uint32_t>& b, const glws::CostFn& w1,
                    const glws::CostFn& w2, glws::Shape shape) {
-  const std::size_t cells = (a.size() + 1) * (b.size() + 1);
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_GAP_CUTOFF", core::kGapSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_GAP_MIN_WORKERS", core::kGapMinWorkers);
-  if (core::use_sequential(cells, cutoff, min_workers)) {
-    GapResult r = gap_seq(a, b, w1, w2, shape);
-    r.path = core::SolvePath::kSequentialCutoff;
-    return r;
-  }
-  return gap_parallel(a, b, w1, w2, shape);
+  return core::route(
+      core::Routed::kGap, (a.size() + 1) * (b.size() + 1),
+      [&] { return gap_seq(a, b, w1, w2, shape); },
+      [&] { return gap_parallel(a, b, w1, w2, shape); });
 }
 
 }  // namespace cordon::gap

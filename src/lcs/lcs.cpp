@@ -143,7 +143,6 @@ LcsResult parallel_impl(std::span<const std::uint32_t> js) {
   // Round fusion: a cordon of few pairs (relaxations == frontier size)
   // is not worth forking the scatter for; run such rounds inline.  The
   // previous round's frontier predicts the next one well enough here.
-  const std::size_t fuse_threshold = core::fuse_relax_threshold();
   std::size_t prev_frontier = std::numeric_limits<std::size_t>::max();
   std::uint32_t round = 0;
   while (!tree.empty()) {
@@ -153,7 +152,7 @@ LcsResult parallel_impl(std::span<const std::uint32_t> js) {
     stats.add_round();
     stats.add_states(frontier.size());
     stats.add_relaxations(frontier.size());
-    if (core::fuse_round(prev_frontier, fuse_threshold)) {
+    if (core::fuse_round(prev_frontier)) {
       parallel::SequentialRegion seq;
       core::kernels::parallel_scatter_fill(res.pair_dp.data(), frontier.data(),
                                            frontier.size(), round);
@@ -193,28 +192,12 @@ LcsResult lcs_parallel(const MatchPairsSoA& pairs) {
   return parallel_impl(pairs.j);
 }
 
-namespace {
-
-LcsResult auto_impl(std::span<const std::uint32_t> js) {
-  const std::size_t cutoff =
-      core::cutoff_from_env("CORDON_LCS_CUTOFF", core::kLcsSeqCutoff);
-  const std::size_t min_workers =
-      core::cutoff_from_env("CORDON_LCS_MIN_WORKERS", core::kLcsMinWorkers);
-  if (core::use_sequential(js.size(), cutoff, min_workers)) {
-    LcsResult r = sparse_seq_impl(js);
-    r.path = core::SolvePath::kSequentialCutoff;
-    return r;
-  }
-  return parallel_impl(js);
+LcsResult lcs_auto(const MatchPairsSoA& pairs) {
+  return core::route(
+      core::Routed::kLcs, pairs.size(),
+      [&] { return sparse_seq_impl(pairs.j); },
+      [&] { return parallel_impl(pairs.j); });
 }
-
-}  // namespace
-
-LcsResult lcs_auto(const std::vector<MatchPair>& pairs) {
-  return auto_impl(j_stream(pairs));
-}
-
-LcsResult lcs_auto(const MatchPairsSoA& pairs) { return auto_impl(pairs.j); }
 
 namespace {
 

@@ -76,11 +76,10 @@ struct LcsResult {
 [[nodiscard]] LcsResult lcs_parallel(const MatchPairsSoA& pairs);
 
 /// Production entry point: lcs_sparse_seq when effective parallelism is
-/// 1 or L (the pair count) is under the adaptive cutoff
-/// (core::kLcsSeqCutoff, override CORDON_LCS_CUTOFF), lcs_parallel
-/// otherwise.  The routing decision is recorded in LcsResult::path.
+/// below the worker floor or L (the pair count) is under the size
+/// threshold (the kLcs row of core::kRoutes), lcs_parallel otherwise.
+/// The routing decision is recorded in LcsResult::path.
 /// Both produce the same pair_dp semantics (LCS value ending at pair p).
-[[nodiscard]] LcsResult lcs_auto(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_auto(const MatchPairsSoA& pairs);
 
 /// One optimal chain of match pairs (an LCS witness), recovered from the

@@ -55,8 +55,8 @@ struct TreeGlwsResult {
                                                 const glws::EFn& e);
 
 /// Production entry point: tree_glws_sequential when effective
-/// parallelism is 1 or the node count is under the adaptive cutoff
-/// (core::kTreeGlwsSeqCutoff, override CORDON_TREEGLWS_CUTOFF),
+/// parallelism is below the worker floor or the node count is under the
+/// size threshold (the kTreeGlws row of core::kRoutes),
 /// tree_glws_parallel otherwise.  Routing recorded in
 /// TreeGlwsResult::path.
 [[nodiscard]] TreeGlwsResult tree_glws_auto(const structures::RootedTree& t,
