@@ -3,10 +3,10 @@
 
 Rules
   R1 arena-discipline   no raw `new` or owning-vector growth inside a
-                        solver round loop (a loop whose body calls
-                        stats.add_round() or opens a telemetry::RoundSpan).
-                        Suppress a deliberate allocation with
-                        `// lint: allow-alloc (reason)`.
+                        solver round loop (a loop whose body counts a round
+                        — `++stats.rounds` / `stats.rounds +=` — or opens a
+                        telemetry::RoundSpan).  Suppress a deliberate
+                        allocation with `// lint: allow-alloc (reason)`.
   R2 kernel-oracle      every vectorized kernel in src/core/kernels.hpp
                         has a same-name kernels::scalar reference, or an
                         explicit `// lint: oracle=<name>` pointing at the
@@ -27,6 +27,13 @@ Rules
                         the docs/ROBUSTNESS.md taxonomy promises callers.
                         Suppress a deliberate swallow with
                         `// lint: allow-catch (reason)`.
+  R6 stats-ownership    no write to a solver stats counter (`stats.f +=`,
+                        `++stats.f`, `stats +=`, `stats.add_*(...)`) inside a
+                        parallel_for / par_do / reduce body, whether the
+                        lambda is written inline or named and passed in.
+                        Parallel bodies return their counts through the
+                        fork-join; only the round-loop thread writes
+                        a DpStats.
 
 Exit status: 0 clean, 1 violations (printed as path:line: R<n>: message),
 2 usage/internal error.  `--fixtures` self-tests the rules against
@@ -131,7 +138,8 @@ def loop_body_span(stripped: str, kw_pos: int) -> tuple[int, int] | None:
     return (j, len(stripped) if semi == -1 else semi + 1)
 
 
-ROUND_MARK = re.compile(r"\badd_round\s*\(|\bRoundSpan\b")
+ROUND_MARK = re.compile(r"\bRoundSpan\b|\+\+\s*(?:\w+\s*\.\s*)*stats\s*\.\s*"
+                        r"rounds\b|\bstats\s*\.\s*rounds\s*\+=")
 GROWTH = re.compile(r"\bnew\b\s*[\w(\[]|\.(push_back|emplace_back|resize|"
                     r"reserve)\s*\(")
 ALLOW_ALLOC = "lint: allow-alloc"
@@ -299,6 +307,71 @@ def check_r5(path: str, text: str) -> list[Violation]:
     return out
 
 
+PARALLEL_CALL = re.compile(r"\b(parallel_for|par_do|reduce)\s*\(")
+STATS_WRITE = re.compile(
+    r"(?<!\w)stats\b(?:\s*\.\s*\w+)?\s*(?:\+=|-=|\+\+|--|=(?!=))|"
+    r"(?:\+\+|--)\s*(?:\w+\s*\.\s*)*stats\s*\.\s*\w+|"
+    r"(?<!\w)stats\s*\.\s*add_\w+\s*\(")
+
+
+def split_args(stripped: str, start: int, end: int) -> list[tuple[int, int]]:
+    """Top-level comma-separated argument spans of the call (start, end)."""
+    out, depth, arg_start = [], 0, start
+    for i in range(start, end):
+        c = stripped[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            out.append((arg_start, i))
+            arg_start = i + 1
+    out.append((arg_start, end))
+    return out
+
+
+def named_lambda_body(stripped: str, name: str,
+                      before: int) -> tuple[int, int] | None:
+    """Body span of the last `auto name = [...](...) {...}` before `before`."""
+    defs = list(re.finditer(rf"\bauto\s+{re.escape(name)}\s*=\s*\[",
+                            stripped[:before]))
+    if not defs:
+        return None
+    brace = stripped.find("{", match_paren(stripped, defs[-1].end() - 1,
+                                           "[", "]"))
+    if brace == -1:
+        return None
+    return (brace, match_paren(stripped, brace, "{", "}"))
+
+
+def check_r6(path: str, text: str) -> list[Violation]:
+    """Parallel bodies return their counts; they never write solver stats."""
+    stripped = strip_comments(text)
+    out, seen = [], set()
+    for m in PARALLEL_CALL.finditer(stripped):
+        open_paren = m.end() - 1
+        close = match_paren(stripped, open_paren, "(", ")")
+        bodies = [(open_paren, close)]
+        for a, b in split_args(stripped, open_paren + 1, close - 1):
+            ident = re.fullmatch(r"\s*(\w+)\s*", stripped[a:b])
+            if ident:
+                span = named_lambda_body(stripped, ident.group(1), m.start())
+                if span:
+                    bodies.append(span)
+        for start, end in bodies:
+            for w in STATS_WRITE.finditer(stripped, start, end):
+                ln = line_of(stripped, w.start())
+                if ln in seen:
+                    continue
+                seen.add(ln)
+                out.append(Violation(path, ln, "R6",
+                                     f"'{w.group(0).strip()}' writes solver "
+                                     f"stats inside a {m.group(1)} body; "
+                                     "count in a body-local and return it "
+                                     "through the fork-join"))
+    return out
+
+
 def source_files(root: pathlib.Path, rel_dirs: list[str]) -> list[pathlib.Path]:
     files = []
     for d in rel_dirs:
@@ -312,6 +385,7 @@ def lint_tree(root: pathlib.Path) -> list[Violation]:
     out = []
     for f in source_files(root, SOLVER_DIRS):
         out.extend(check_r1(str(f.relative_to(root)), f.read_text()))
+        out.extend(check_r6(str(f.relative_to(root)), f.read_text()))
     kernels = root / KERNELS_HPP
     tests = root / KERNEL_TESTS
     if kernels.is_file():
@@ -352,6 +426,8 @@ def run_fixture(rule: str, path: str, text: str) -> list[Violation]:
         return check_r4(path, text, "", "")
     if rule == "R5":
         return check_r5(path, text)
+    if rule == "R6":
+        return check_r6(path, text)
     raise ValueError(f"unknown rule {rule}")
 
 

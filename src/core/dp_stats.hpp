@@ -7,10 +7,15 @@
 // polylog), so tests and benchmarks can check work-efficiency claims
 // directly instead of inferring them from wall-clock on a particular
 // machine.
+//
+// Only the thread running a solver's round loop writes its DpStats.  A
+// parallel body never shares a counter: it returns its own counts, and
+// the fork-join sums them at the join (parallel::reduce for loops, one
+// local per par_do branch for recursions).  Counting thus costs no
+// cross-core traffic, and the totals do not depend on the pool size.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <ostream>
@@ -224,27 +229,5 @@ struct QueueStats {
 inline std::ostream& operator<<(std::ostream& os, const QueueStats& s) {
   return detail::write_fields(os, s.to_json_fields());
 }
-
-/// Thread-safe accumulator used inside parallel loops; convert to DpStats
-/// at the end of a run.
-struct AtomicDpStats {
-  std::atomic<std::uint64_t> states{0};
-  std::atomic<std::uint64_t> relaxations{0};
-  std::atomic<std::uint64_t> rounds{0};
-
-  void add_states(std::uint64_t n) noexcept {
-    states.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_relaxations(std::uint64_t n) noexcept {
-    relaxations.fetch_add(n, std::memory_order_relaxed);
-  }
-  void add_round() noexcept { rounds.fetch_add(1, std::memory_order_relaxed); }
-
-  [[nodiscard]] DpStats snapshot() const noexcept {
-    return {states.load(std::memory_order_relaxed),
-            relaxations.load(std::memory_order_relaxed),
-            rounds.load(std::memory_order_relaxed)};
-  }
-};
 
 }  // namespace cordon::core

@@ -40,10 +40,10 @@
 #include <fstream>
 #include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/core/cancel.hpp"
+#include "src/core/dp_stats.hpp"
 #include "src/core/telemetry.hpp"
 
 namespace cordon::telemetry {
@@ -355,14 +355,13 @@ inline void init_from_env() {
 /// enough for always-on); records a trace span with the round's
 /// DpStats delta and a round-latency histogram sample only while
 /// tracing is enabled, so the two extra clock reads stay off the
-/// hot path of ~µs rounds.  Works with both core::DpStats and
-/// core::AtomicDpStats via `.snapshot()`-free duck typing: the Stats
-/// type must expose states/relaxations either as members (DpStats) or
-/// via snapshot() (AtomicDpStats) — see the two constructors.
-template <typename StatsT>
+/// hot path of ~µs rounds.  `stats` is the solver's own DpStats, which
+/// only the round-loop thread writes (parallel bodies return their
+/// counts through the fork-join), so reading it at both ends of the
+/// round needs no synchronization.
 class RoundSpan {
  public:
-  RoundSpan(const char* name, const StatsT& stats)
+  RoundSpan(const char* name, const core::DpStats& stats)
       : stats_(stats), span_(name, "solver") {
     // The per-round cancellation/deadline check rides the one hook every
     // solver already constructs each round; it must run even with
@@ -372,17 +371,15 @@ class RoundSpan {
     // a top-level caller's stack, both throw-safe.
     core::poll_cancel();
     if constexpr (!kEnabled) return;
-    auto base = read(stats);
-    base_states_ = base.first;
-    base_relax_ = base.second;
+    base_states_ = stats.states;
+    base_relax_ = stats.relaxations;
   }
 
   ~RoundSpan() {
     if constexpr (!kEnabled) return;
     count(Counter::kSolverRounds);
-    auto now = read(stats_);
-    std::uint64_t dstates = now.first - base_states_;
-    std::uint64_t drelax = now.second - base_relax_;
+    std::uint64_t dstates = stats_.states - base_states_;
+    std::uint64_t drelax = stats_.relaxations - base_relax_;
     count(Counter::kSolverStates, dstates);
     count(Counter::kSolverRelaxations, drelax);
     if (span_.armed()) {
@@ -396,20 +393,7 @@ class RoundSpan {
   RoundSpan& operator=(const RoundSpan&) = delete;
 
  private:
-  template <typename S>
-  static auto read(const S& s) noexcept
-      -> std::pair<std::uint64_t, std::uint64_t> {
-    if constexpr (requires { s.snapshot(); }) {
-      auto snap = s.snapshot();
-      return {static_cast<std::uint64_t>(snap.states),
-              static_cast<std::uint64_t>(snap.relaxations)};
-    } else {
-      return {static_cast<std::uint64_t>(s.states),
-              static_cast<std::uint64_t>(s.relaxations)};
-    }
-  }
-
-  const StatsT& stats_;
+  const core::DpStats& stats_;
   std::uint64_t base_states_ = 0;
   std::uint64_t base_relax_ = 0;
   TraceSpan span_;

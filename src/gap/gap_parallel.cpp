@@ -68,19 +68,17 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
 
   Grid g{n, m, std::vector<double>((n + 1) * (m + 1), kInf)};
   g.at(0, 0) = 0.0;
-  core::AtomicDpStats stats;
+  core::DpStats stats;
 
   // Row envelope of row i: decisions are finalized columns j' of row i,
   // eval(j', j) = D[i][j'] + w2(j', j).  Column envelope symmetric.
   auto row_eval = [&](std::size_t i) {
     return [&, i](std::size_t jp, std::size_t j) {
-      stats.add_relaxations(1);
       return g.get(i, jp) + w2(jp, j);
     };
   };
   auto col_eval = [&](std::size_t j) {
     return [&, j](std::size_t ip, std::size_t i) {
-      stats.add_relaxations(1);
       return g.get(ip, j) + w1(ip, i);
     };
   };
@@ -119,10 +117,9 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
   std::uint64_t prev_round_relax = std::numeric_limits<std::uint64_t>::max();
 
   while (!done()) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("gap.round", stats);
-    std::uint64_t relax_before =
-        stats.relaxations.load(std::memory_order_relaxed);
+    std::uint64_t relax_before = stats.relaxations;
     std::optional<parallel::SequentialRegion> fuse_guard;
     if (core::fuse_round(prev_round_relax))
       fuse_guard.emplace();
@@ -175,12 +172,9 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
       }
       if (!any) break;
 
-      parallel::parallel_for(0, n + 1, [&](std::size_t i) {
+      stats += parallel::reduce(0, n + 1, [&](std::size_t i) -> core::DpStats {
         auto [lo, hi] = span[i];
-        if (lo > hi) return;
-        // Body-local counting: one atomic flush per probed window
-        // instead of a locked RMW per cost evaluation (the probe loop
-        // is the bulk of all relaxations).
+        if (lo > hi) return {};
         std::uint64_t local_relax = 0;
         auto reval = [&](std::size_t jp, std::size_t j) {
           ++local_relax;
@@ -241,8 +235,7 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
             lower_cap(i + 1, j);
           }
         }
-        stats.add_states(hi - lo + 1);
-        stats.add_relaxations(local_relax);
+        return {hi - lo + 1, local_relax, 0};
       });
 
       // Staircase clamp: sentinel (x, y) blocks every row below at
@@ -263,31 +256,34 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
     for (std::size_t i = 0; i <= n; ++i)
       new_front[i] = std::max(front[i], std::min(cap[i], m + 1));
 
-    // Row envelopes.
-    parallel::parallel_for(0, n + 1, [&](std::size_t i) {
+    // Row envelopes.  Each row counts its own evaluations.
+    stats.relaxations += parallel::reduce(0, n + 1, [&](std::size_t i) {
+      std::uint64_t evals = 0;
       std::size_t f0 = front[i], f1 = new_front[i];
       if (f1 == f0 || f1 > m) {
         if (f1 > m) row_b[i].assign({});
-        return;
+        return evals;
       }
       auto reval = row_eval(i);
       std::size_t dlo = f0 == 0 ? 0 : f0;
       std::vector<DecisionInterval> fresh = glws::coalesce(
-          glws::find_intervals(reval, dlo, f1 - 1, f1, m, convex));
+          glws::find_intervals(reval, dlo, f1 - 1, f1, m, convex, evals));
       if (row_b[i].empty()) {
         row_b[i].assign(fresh);
       } else {
         row_b[i].advance_to(f1);
         BestDecisionList& bnew = row_tmp[i];
         bnew.assign(fresh);
-        row_b[i].assign(glws::coalesce(
-            glws::merge_envelopes(row_b[i], bnew, reval, f1, m, convex)));
+        row_b[i].assign(glws::coalesce(glws::merge_envelopes(
+            row_b[i], bnew, reval, f1, m, convex, evals)));
       }
+      return evals;
     });
 
     // Column envelopes: column j gained rows [colfront[j], c1) where c1 =
     // first row with new_front <= j (new_front is non-increasing).
-    parallel::parallel_for(0, m + 1, [&](std::size_t j) {
+    stats.relaxations += parallel::reduce(0, m + 1, [&](std::size_t j) {
+      std::uint64_t evals = 0;
       // Binary search: rows 0..c1-1 have new_front > j.
       std::size_t lo = 0, hi = n + 1;
       while (lo < hi) {
@@ -298,34 +294,34 @@ GapResult gap_parallel(const std::vector<std::uint32_t>& a,
           hi = mid;
       }
       std::size_t c1 = lo, c0 = colfront[j];
-      if (c1 == c0) return;
+      if (c1 == c0) return evals;
       colfront[j] = c1;
       if (c1 > n) {
         col_b[j].assign({});
-        return;
+        return evals;
       }
       auto ceval = col_eval(j);
       std::vector<DecisionInterval> fresh = glws::coalesce(
-          glws::find_intervals(ceval, c0, c1 - 1, c1, n, convex));
+          glws::find_intervals(ceval, c0, c1 - 1, c1, n, convex, evals));
       if (col_b[j].empty()) {
         col_b[j].assign(fresh);
       } else {
         col_b[j].advance_to(c1);
         BestDecisionList& bnew = col_tmp[j];
         bnew.assign(fresh);
-        col_b[j].assign(glws::coalesce(
-            glws::merge_envelopes(col_b[j], bnew, ceval, c1, n, convex)));
+        col_b[j].assign(glws::coalesce(glws::merge_envelopes(
+            col_b[j], bnew, ceval, c1, n, convex, evals)));
       }
+      return evals;
     });
 
     std::swap(front, new_front);  // new_front is fully rewritten next round
-    prev_round_relax =
-        stats.relaxations.load(std::memory_order_relaxed) - relax_before;
+    prev_round_relax = stats.relaxations - relax_before;
   }
 
   res.d = std::move(g.d);
   res.distance = res.at(n, m);
-  res.stats = stats.snapshot();
+  res.stats = stats;
   return res;
 }
 

@@ -5,9 +5,12 @@
 // Everything is templated on Eval: eval(j, i) -> double is the transition
 // value E[j] + w(j, i).  GLWS instantiates it over its 1D E array; GAP
 // instantiates one Eval per row and per column of the grid.
+// Eval does not count: each tool adds its eval calls to the caller's
+// `evals`, and each par_do branch counts into its own local.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/core/audit.hpp"
@@ -27,7 +30,8 @@ namespace detail {
 // decision ranges consistent with DM under ties).
 template <typename Eval>
 std::size_t argmin_decision(const Eval& eval, std::size_t jl, std::size_t jr,
-                            std::size_t im, bool prefer_larger_j) {
+                            std::size_t im, bool prefer_larger_j,
+                            std::uint64_t& evals) {
   struct Cand {
     double v;
     std::size_t j;
@@ -41,15 +45,20 @@ std::size_t argmin_decision(const Eval& eval, std::size_t jl, std::size_t jr,
   if (jr - jl <= kSeq) {
     // Branchless single-pass kernels; tie direction picks the variant.
     auto value = [&](std::size_t j) { return eval(j, im); };
+    evals += jr - jl + 1;  // the kernels evaluate each j exactly once
     return prefer_larger_j
                ? core::kernels::argmin_transform_last(jl, jr + 1, value).index
                : core::kernels::argmin_transform(jl, jr + 1, value).index;
   }
   std::size_t mid = jl + (jr - jl) / 2;
   std::size_t a = 0, b = 0;
+  std::uint64_t evals_a = 0, evals_b = 0;
   parallel::par_do(
-      [&] { a = argmin_decision(eval, jl, mid, im, prefer_larger_j); },
-      [&] { b = argmin_decision(eval, mid + 1, jr, im, prefer_larger_j); });
+      [&] { a = argmin_decision(eval, jl, mid, im, prefer_larger_j, evals_a); },
+      [&] {
+        b = argmin_decision(eval, mid + 1, jr, im, prefer_larger_j, evals_b);
+      });
+  evals += evals_a + evals_b + 2;
   return pick({eval(a, im), a}, {eval(b, im), b}).j;
 }
 
@@ -60,23 +69,29 @@ std::size_t argmin_decision(const Eval& eval, std::size_t jl, std::size_t jr,
 template <typename Eval>
 std::vector<DecisionInterval> find_intervals(const Eval& eval, std::size_t jl,
                                              std::size_t jr, std::size_t il,
-                                             std::size_t ir, bool convex) {
+                                             std::size_t ir, bool convex,
+                                             std::uint64_t& evals) {
   if (il > ir) return {};
   if (jl == jr) return {{il, ir, jl}};
   std::size_t im = il + (ir - il) / 2;
-  std::size_t jm =
-      detail::argmin_decision(eval, jl, jr, im, /*prefer_larger_j=*/!convex);
+  std::size_t jm = detail::argmin_decision(eval, jl, jr, im,
+                                           /*prefer_larger_j=*/!convex, evals);
 
+  // Convex: the left half's decisions lie in [jl, jm]; concave: [jm, jr].
+  const std::size_t left_jl = convex ? jl : jm, left_jr = convex ? jm : jr;
+  const std::size_t right_jl = convex ? jm : jl, right_jr = convex ? jr : jm;
   std::vector<DecisionInterval> left, right;
-  if (convex) {
-    parallel::par_do(
-        [&] { left = find_intervals(eval, jl, jm, il, im - 1, convex); },
-        [&] { right = find_intervals(eval, jm, jr, im + 1, ir, convex); });
-  } else {
-    parallel::par_do(
-        [&] { left = find_intervals(eval, jm, jr, il, im - 1, convex); },
-        [&] { right = find_intervals(eval, jl, jm, im + 1, ir, convex); });
-  }
+  std::uint64_t evals_left = 0, evals_right = 0;
+  parallel::par_do(
+      [&] {
+        left = find_intervals(eval, left_jl, left_jr, il, im - 1, convex,
+                              evals_left);
+      },
+      [&] {
+        right = find_intervals(eval, right_jl, right_jr, im + 1, ir, convex,
+                               evals_right);
+      });
+  evals += evals_left + evals_right;
   std::vector<DecisionInterval> out;
   out.reserve(left.size() + right.size() + 1);
   out.insert(out.end(), left.begin(), left.end());
@@ -121,8 +136,10 @@ template <typename Eval>
 std::vector<DecisionInterval> merge_envelopes(const BestDecisionList& bold,
                                               const BestDecisionList& bnew,
                                               const Eval& eval, std::size_t lo,
-                                              std::size_t hi, bool convex) {
+                                              std::size_t hi, bool convex,
+                                              std::uint64_t& evals) {
   auto new_wins = [&](std::size_t i) {
+    evals += 2;
     return eval(bnew.best_of(i), i) < eval(bold.best_of(i), i);
   };
   // Locate the boundary of the new-wins region.

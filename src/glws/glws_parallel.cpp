@@ -36,17 +36,14 @@ using structures::DecisionInterval;
 constexpr std::size_t kNone = BestDecisionList::kNone;
 
 // FindCordon (Alg. 1 lines 7-18): prefix-doubling probe for the leftmost
-// sentinel after `now`.  Returns cordon in (now+1, n+1].
-//
-// The probe body counts relaxations in a body-local integer and flushes
-// once per state: the shared AtomicDpStats costs a locked RMW per
-// add, which at one increment per cost evaluation was a measurable
-// fraction of the whole round.
+// sentinel after `now`.  Returns cordon in (now+1, n+1] and adds the
+// probes' states and relaxations to `stats`.  Each probed state counts its
+// own evaluations and returns them through the reduce.
 std::size_t find_cordon(std::size_t n, std::size_t now,
                         const BestDecisionList& b, bool convex,
                         const CostFn& w, std::vector<double>& d,
                         std::span<double> ev, const EFn& e,
-                        core::AtomicDpStats& stats) {
+                        core::DpStats& stats) {
   std::size_t cordon = n + 1;
   for (std::size_t t = 1;; ++t) {
     std::size_t l = now + (std::size_t{1} << (t - 1));
@@ -55,7 +52,7 @@ std::size_t find_cordon(std::size_t n, std::size_t now,
     std::size_t hi = std::min(r, cordon - 1);
 
     std::atomic<std::size_t> batch_min{cordon};
-    parallel::parallel_for(l, hi + 1, [&](std::size_t j) {
+    stats += parallel::reduce(l, hi + 1, [&](std::size_t j) {
       std::uint64_t local_relax = 0;
       auto eval = [&](std::size_t jj, std::size_t ii) {
         ++local_relax;
@@ -82,8 +79,7 @@ std::size_t find_cordon(std::size_t n, std::size_t now,
                               cur, s, std::memory_order_relaxed)) {
         }
       }
-      stats.add_states(1);
-      stats.add_relaxations(local_relax);
+      return core::DpStats{1, local_relax, 0};
     });
     cordon = std::min(cordon, batch_min.load(std::memory_order_relaxed));
     if (cordon <= r + 1 || r == n) break;
@@ -108,11 +104,8 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
   core::ArenaScope scratch(arena);
   std::span<double> ev = arena.make_span<double>(n + 1);
   ev[0] = e(d0, 0);
-  core::AtomicDpStats stats;
-  auto eval = [&](std::size_t j, std::size_t i) {
-    stats.add_relaxations(1);
-    return ev[j] + w(j, i);
-  };
+  core::DpStats stats;
+  auto eval = [&](std::size_t j, std::size_t i) { return ev[j] + w(j, i); };
   const bool convex = shape == Shape::kConvex;
 
   // Initially every state's best (and only) candidate is state 0.
@@ -138,8 +131,9 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
     if (cordon <= n) {
       // Rebuild B for the states past the cordon using the newly
       // finalized decisions [now+1, cordon-1].
-      std::vector<DecisionInterval> fresh = coalesce(
-          find_intervals(eval, now + 1, cordon - 1, cordon, n, convex));
+      std::uint64_t evals = 0;
+      std::vector<DecisionInterval> fresh = coalesce(find_intervals(
+          eval, now + 1, cordon - 1, cordon, n, convex, evals));
       if (convex) {
         // Convex: every state past the cordon has its best decision among
         // the new range (Sec. 4.2.2), so the new list replaces B.
@@ -148,27 +142,26 @@ GlwsResult glws_parallel(std::size_t n, double d0, const CostFn& w,
         // Concave (Alg. 2): new decisions win a prefix of [cordon, n].
         b.advance_to(cordon);
         bnew.assign(fresh);
-        b.assign(coalesce(
-            merge_envelopes(b, bnew, eval, cordon, n, /*convex=*/false)));
+        b.assign(coalesce(merge_envelopes(b, bnew, eval, cordon, n,
+                                          /*convex=*/false, evals)));
       }
+      stats.relaxations += evals;
     }
     now = cordon - 1;
   };
   while (now < n) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("glws.round", stats);
-    std::uint64_t relax_before =
-        stats.relaxations.load(std::memory_order_relaxed);
+    std::uint64_t relax_before = stats.relaxations;
     if (core::fuse_round(prev_round_relax)) {
       parallel::SequentialRegion seq;
       round();
     } else {
       round();
     }
-    prev_round_relax =
-        stats.relaxations.load(std::memory_order_relaxed) - relax_before;
+    prev_round_relax = stats.relaxations - relax_before;
   }
-  res.stats = stats.snapshot();
+  res.stats = stats;
   return res;
 }
 

@@ -18,12 +18,14 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 // One D&C layer: given prev[j] = D[j][k'-1], fill cur[i] = min_{j<i}
 // prev[j] + w(j, i) and arg[i], for i in [il, ir] with decisions
 // restricted to [jl, jr].  Total monotonicity shrinks the two recursive
-// decision ranges to the midpoint's argmin (leftmost on ties).
-void layer_rec(std::span<const double> prev, std::span<double> cur,
-               std::span<std::uint32_t> arg, const glws::CostFn& w,
-               std::size_t il, std::size_t ir, std::size_t jl, std::size_t jr,
-               core::AtomicDpStats& stats) {
-  if (il > ir) return;
+// decision ranges to the midpoint's argmin (leftmost on ties).  Returns
+// the states and relaxations of this subtree; the two halves count
+// separately and are summed after their join.
+core::DpStats layer_rec(std::span<const double> prev, std::span<double> cur,
+                        std::span<std::uint32_t> arg, const glws::CostFn& w,
+                        std::size_t il, std::size_t ir, std::size_t jl,
+                        std::size_t jr) {
+  if (il > ir) return {};
   std::size_t im = il + (ir - il) / 2;
   std::size_t hi = std::min(jr, im - 1);  // decisions must satisfy j < i
   // Leftmost argmin with the infinite-source skip kept as a branch: the
@@ -39,19 +41,26 @@ void layer_rec(std::span<const double> prev, std::span<double> cur,
       best.index = j;
     }
   }
-  stats.add_relaxations(hi >= jl ? hi - jl + 1 : 0);
-  stats.add_states(1);
   cur[im] = best.value;
   arg[im] = static_cast<std::uint32_t>(best.index);
   std::size_t best_j = best.value == kInf ? jl : best.index;
-  auto left = [&] { layer_rec(prev, cur, arg, w, il, im - 1, jl, best_j, stats); };
-  auto right = [&] { layer_rec(prev, cur, arg, w, im + 1, ir, best_j, jr, stats); };
+  core::DpStats stats{1, hi >= jl ? hi - jl + 1 : 0, 0};
+  core::DpStats left_stats, right_stats;
+  auto left = [&] {
+    left_stats = layer_rec(prev, cur, arg, w, il, im - 1, jl, best_j);
+  };
+  auto right = [&] {
+    right_stats = layer_rec(prev, cur, arg, w, im + 1, ir, best_j, jr);
+  };
   if (ir - il > 2048) {
     parallel::par_do(left, right);
   } else {
     left();
     right();
   }
+  stats += left_stats;
+  stats += right_stats;
+  return stats;
 }
 
 // Runs all k layers with a per-layer engine over arena-backed layer
@@ -139,11 +148,7 @@ KglwsResult kglws_dc(std::size_t n, std::size_t k, const glws::CostFn& w) {
       n, k,
       [&](std::span<const double> prev, std::span<double> cur,
           std::span<std::uint32_t> arg, core::DpStats& stats) {
-        core::AtomicDpStats local;
-        layer_rec(prev, cur, arg, w, 1, n, 0, n - 1, local);
-        core::DpStats snap = local.snapshot();
-        stats.states += snap.states;
-        stats.relaxations += snap.relaxations;
+        stats += layer_rec(prev, cur, arg, w, 1, n, 0, n - 1);
       });
 }
 
@@ -160,8 +165,7 @@ std::vector<std::uint32_t> kglws_backtrack(std::size_t n, std::size_t k,
   for (std::size_t kk = 1; kk <= k; ++kk) {
     std::span<std::uint32_t> arg = args.subspan((kk - 1) * (n + 1), n + 1);
     std::fill(arg.begin(), arg.end(), 0u);
-    core::AtomicDpStats stats;
-    layer_rec(prev, cur, arg, w, 1, n, 0, n - 1, stats);
+    layer_rec(prev, cur, arg, w, 1, n, 0, n - 1);
     cur[0] = kInf;
     std::swap(prev, cur);
     std::fill(cur.begin(), cur.end(), kInf);

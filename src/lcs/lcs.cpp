@@ -138,7 +138,6 @@ LcsResult parallel_impl(std::span<const std::uint32_t> js) {
   if (js.empty()) return res;
 
   structures::TournamentTree tree(js);
-  core::AtomicDpStats stats;
   std::vector<std::size_t> frontier;  // reused: zero-alloc steady state
   // Round fusion: a cordon of few pairs (relaxations == frontier size)
   // is not worth forking the scatter for; run such rounds inline.  The
@@ -147,11 +146,11 @@ LcsResult parallel_impl(std::span<const std::uint32_t> js) {
   std::uint32_t round = 0;
   while (!tree.empty()) {
     ++round;
-    telemetry::RoundSpan round_span("lcs.round", stats);
+    telemetry::RoundSpan round_span("lcs.round", res.stats);
     tree.extract_prefix_minima_into(frontier);
-    stats.add_round();
-    stats.add_states(frontier.size());
-    stats.add_relaxations(frontier.size());
+    ++res.stats.rounds;
+    res.stats.states += frontier.size();
+    res.stats.relaxations += frontier.size();
     if (core::fuse_round(prev_frontier)) {
       parallel::SequentialRegion seq;
       core::kernels::parallel_scatter_fill(res.pair_dp.data(), frontier.data(),
@@ -163,7 +162,6 @@ LcsResult parallel_impl(std::span<const std::uint32_t> js) {
     prev_frontier = frontier.size();
   }
   res.length = round;
-  res.stats = stats.snapshot();
   return res;
 }
 

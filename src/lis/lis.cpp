@@ -95,21 +95,19 @@ LisResult lis_parallel(const std::vector<std::uint64_t>& a) {
   // a[j] < a[i].  All of them share tentative value r, so D never needs
   // explicit relaxation (the "global tentative value" observation).
   structures::TournamentTree tree(a);
-  core::AtomicDpStats stats;
   std::vector<std::size_t> frontier;  // reused: zero-alloc steady state
   std::uint32_t round = 0;
   while (!tree.empty()) {
     ++round;
-    telemetry::RoundSpan round_span("lis.round", stats);
+    telemetry::RoundSpan round_span("lis.round", res.stats);
     tree.extract_prefix_minima_into(frontier);
-    stats.add_round();
-    stats.add_states(frontier.size());
-    stats.add_relaxations(frontier.size());
+    ++res.stats.rounds;
+    res.stats.states += frontier.size();
+    res.stats.relaxations += frontier.size();
     core::kernels::parallel_scatter_fill(res.dp.data(), frontier.data(),
                                          frontier.size(), round);
   }
   res.length = round;
-  res.stats = stats.snapshot();
   return res;
 }
 

@@ -12,8 +12,10 @@
 // Rounds (stats.rounds) are the phase-parallel span driver: for random
 // weights rounds ~ O(log n); monotone weight sequences degrade to O(n)
 // rounds, which is exactly the case the paper's 1-valley + convex-LWS
-// machinery (Appendix A) addresses — see DESIGN.md for the substitution
-// note and bench A4 for the measured round counts.
+// machinery (Appendix A) addresses.  That machinery is not implemented;
+// the sorted-list fast path below stands in for it (a non-decreasing
+// working list is drained in one step, charged its combine depth in
+// rounds), and bench A4 reports the measured round counts.
 #include <span>
 
 #include "src/core/arena.hpp"
@@ -34,7 +36,6 @@ OatResult oat_parallel(const std::vector<double>& weights) {
   }
 
   detail::GwList list(weights);
-  core::AtomicDpStats stats;
   // Round scratch: snapshot/pending are reused push targets (high-water
   // capacity retained); sums/marked are dense per-round arrays carved
   // from the worker arena and rewound every round.
@@ -50,8 +51,8 @@ OatResult oat_parallel(const std::vector<double>& weights) {
 
   bool drained = false;
   while (list.size() > 1 && !drained) {
-    stats.add_round();
-    telemetry::RoundSpan round_span("oat.round", stats);
+    ++res.stats.rounds;
+    telemetry::RoundSpan round_span("oat.round", res.stats);
     core::ArenaScope round_scope(arena);
     const std::size_t m = list.size();
     snapshot.clear();
@@ -103,9 +104,9 @@ OatResult oat_parallel(const std::vector<double>& weights) {
           combined.insert(combined.begin() + static_cast<std::ptrdiff_t>(at),
                           z);
         }
-        stats.add_states(m);
+        res.stats.states += m;
         // The phase's parallel span: one round per combine level.
-        for (std::uint32_t r = 1; r < max_depth; ++r) stats.add_round();
+        for (std::uint32_t r = 1; r < max_depth; ++r) ++res.stats.rounds;
         if (max_depth > 1)
           telemetry::count(telemetry::Counter::kSolverRounds, max_depth - 1);
         drained = true;
@@ -123,7 +124,7 @@ OatResult oat_parallel(const std::vector<double>& weights) {
       bool right_ok = p + 2 >= m || sums[p] <= sums[p + 1];
       marked[p] = left_ok && right_ok;
     });
-    stats.add_states(m);
+    res.stats.states += m;
 
     // First combine (unlink) every marked pair, then reinsert the new
     // parents left to right — exactly the [72] round structure.  A
@@ -152,7 +153,7 @@ OatResult oat_parallel(const std::vector<double>& weights) {
     std::uint64_t scanned = 0;
     for (const Pending& pd : pending)
       scanned += list.reinsert(pd.z, list.next(pd.anchor));
-    stats.add_relaxations(scanned);
+    res.stats.relaxations += scanned;
   }
 
   res.levels = list.leaf_levels(n);
@@ -160,7 +161,6 @@ OatResult oat_parallel(const std::vector<double>& weights) {
     res.cost += weights[i] * res.levels[i];
     res.height = std::max(res.height, res.levels[i]);
   }
-  res.stats = stats.snapshot();
   return res;
 }
 

@@ -43,27 +43,27 @@ struct Tables {
   }
 };
 
-// Fills one cell scanning decisions in [klo, khi]; returns (cost, argmin).
-// The scan is the strided min-plus kernel: t.get(i, k) walks row i
-// contiguously while t.get(k + 1, j) walks column j with stride n+1.
-void fill_cell(Tables& t, std::size_t i, std::size_t j, std::size_t klo,
-               std::size_t khi, core::AtomicDpStats& stats) {
+// Fills one cell scanning decisions in [klo, khi] and returns what that
+// cost: one state, one relaxation per decision.  The scan is the strided
+// min-plus kernel: t.get(i, k) walks row i contiguously while
+// t.get(k + 1, j) walks column j with stride n+1.
+core::DpStats fill_cell(Tables& t, std::size_t i, std::size_t j,
+                        std::size_t klo, std::size_t khi) {
   const std::size_t stride = t.n + 1;
   core::kernels::ArgMin best = core::kernels::argmin_add_strided(
       t.d.data() + i * stride + klo, t.d.data() + (klo + 1) * stride + j,
       stride, khi - klo + 1);
-  stats.add_relaxations(khi - klo + 1);
-  stats.add_states(1);
   t.at(i, j) = best.value + t.weight(i, j);
   t.rt(i, j) = static_cast<std::uint32_t>(klo + best.index);
+  return {1, khi - klo + 1, 0};
 }
 
-ObstResult finish(Tables& t, core::AtomicDpStats& stats) {
+ObstResult finish(Tables& t, const core::DpStats& stats) {
   ObstResult res;
   res.n = t.n;
   res.cost = t.get(0, t.n);
   res.root = std::move(t.root);
-  res.stats = stats.snapshot();
+  res.stats = stats;
   return res;
 }
 
@@ -73,12 +73,12 @@ ObstResult obst_naive(const std::vector<double>& w) {
   core::Arena& arena = core::worker_arena();
   core::ArenaScope scratch(arena);
   Tables t(w, arena);
-  core::AtomicDpStats stats;
+  core::DpStats stats;
   for (std::size_t delta = 1; delta <= t.n; ++delta) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("obst.round", stats);
     for (std::size_t i = 0; i + delta <= t.n; ++i)
-      fill_cell(t, i, i + delta, i, i + delta - 1, stats);
+      stats += fill_cell(t, i, i + delta, i, i + delta - 1);
   }
   return finish(t, stats);
 }
@@ -87,9 +87,9 @@ ObstResult obst_knuth(const std::vector<double>& w) {
   core::Arena& arena = core::worker_arena();
   core::ArenaScope scratch(arena);
   Tables t(w, arena);
-  core::AtomicDpStats stats;
+  core::DpStats stats;
   for (std::size_t delta = 1; delta <= t.n; ++delta) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("obst.round", stats);
     for (std::size_t i = 0; i + delta <= t.n; ++i) {
       std::size_t j = i + delta;
@@ -97,7 +97,7 @@ ObstResult obst_knuth(const std::vector<double>& w) {
       std::size_t klo = delta == 1 ? i : t.rt(i, j - 1);
       std::size_t khi = delta == 1 ? i : std::min<std::size_t>(t.rt(i + 1, j),
                                                                j - 1);
-      fill_cell(t, i, j, klo, khi, stats);
+      stats += fill_cell(t, i, j, klo, khi);
     }
   }
   return finish(t, stats);
@@ -107,21 +107,21 @@ ObstResult obst_parallel(const std::vector<double>& w) {
   core::Arena& arena = core::worker_arena();
   core::ArenaScope scratch(arena);
   Tables t(w, arena);
-  core::AtomicDpStats stats;
+  core::DpStats stats;
   // Diagonal wavefront: the delta-th cordon frontier is exactly the
   // diagonal j - i == delta (Sec. 5.5); cells of one diagonal are
   // independent given the previous diagonals and can use the same Knuth
   // ranges because rt(i, j-1) and rt(i+1, j) live on earlier diagonals.
   for (std::size_t delta = 1; delta <= t.n; ++delta) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("obst.round", stats);
     std::size_t cells = t.n - delta + 1;
-    parallel::parallel_for(0, cells, [&](std::size_t i) {
+    stats += parallel::reduce(0, cells, [&](std::size_t i) {
       std::size_t j = i + delta;
       std::size_t klo = delta == 1 ? i : t.rt(i, j - 1);
       std::size_t khi =
           delta == 1 ? i : std::min<std::size_t>(t.rt(i + 1, j), j - 1);
-      fill_cell(t, i, j, klo, khi, stats);
+      return fill_cell(t, i, j, klo, khi);
     });
   }
   return finish(t, stats);

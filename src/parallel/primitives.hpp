@@ -1,43 +1,53 @@
 // Parallel sequence primitives: map, reduce, scan, pack/filter, merge.
 //
 // These mirror the ParlayLib primitives the paper's implementation relies
-// on.  All primitives are deterministic: reductions use a balanced binary
-// recursion tree, so floating-point and other non-associative-in-practice
-// monoids give the same result on any number of threads.
+// on.  All primitives are deterministic.  min_index and scan_exclusive
+// split at the fixed kSeqThreshold, so their combine order does not
+// depend on the pool size; reduce splits like parallel_for and is for
+// exact sums such as the solvers' work counters.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "src/parallel/scheduler.hpp"
 
 namespace cordon::parallel {
 
+/// Sequential leaf size of min_index and scan_exclusive.
 inline constexpr std::size_t kSeqThreshold = 2048;
 
-/// reduce(lo, hi, id, f, op): balanced-tree reduction of f(lo..hi) under
-/// the associative operator op with identity id.
-template <typename T, typename F, typename Op>
-T reduce(std::size_t lo, std::size_t hi, T identity, const F& f,
-         const Op& op) {
-  if (hi <= lo) return identity;
-  if (hi - lo <= kSeqThreshold) {
-    T acc = identity;
-    for (std::size_t i = lo; i < hi; ++i) acc = op(acc, f(i));
+/// reduce(lo, hi, f): the sum under `+=` of f(i) over [lo, hi), from a
+/// value-initialized T.  Splits exactly like parallel_for with the same
+/// granularity arguments (inline inside a SequentialRegion), so a loop
+/// whose body returns its counts forks the same task graph.  The chunks
+/// depend on the pool size: meant for exact sums such as core::DpStats.
+template <typename F>
+auto reduce(std::size_t lo, std::size_t hi, const F& f,
+            std::size_t granularity = 0,
+            std::size_t granularity_floor = kDefaultGranularityFloor) {
+  std::decay_t<decltype(f(lo))> acc{}, right{};
+  if (hi <= lo) return acc;
+  if (detail::in_sequential_region())
+    granularity = hi - lo;
+  else if (granularity == 0)
+    granularity = auto_granularity(hi - lo, granularity_floor);
+  if (hi - lo <= granularity) {
+    for (std::size_t i = lo; i < hi; ++i) acc += f(i);
     return acc;
   }
   std::size_t mid = lo + (hi - lo) / 2;
-  T left{}, right{};
-  par_do([&] { left = reduce(lo, mid, identity, f, op); },
-         [&] { right = reduce(mid, hi, identity, f, op); });
-  return op(left, right);
+  par_do([&] { acc = reduce(lo, mid, f, granularity); },
+         [&] { right = reduce(mid, hi, f, granularity); });
+  acc += right;
+  return acc;
 }
 
 template <typename T>
 T reduce_add(const std::vector<T>& v) {
-  return reduce(
-      0, v.size(), T{}, [&](std::size_t i) { return v[i]; }, std::plus<T>{});
+  return reduce(0, v.size(), [&](std::size_t i) { return v[i]; });
 }
 
 /// Index of a minimum of f over [lo, hi) (leftmost minimum; hi if empty).

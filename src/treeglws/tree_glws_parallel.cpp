@@ -20,9 +20,9 @@
 //     increasing depth order — sibling branches share every treap node of
 //     the common prefix, the O(n^2) -> O~(n) space argument of the paper.
 //     (The paper further parallelizes this step with HLD-ordered
-//     divide-and-conquer; we keep it ordered within a round and note the
-//     substitution in DESIGN.md — work is identical, only the per-round
-//     span of this step differs.)
+//     divide-and-conquer.  This implementation substitutes one sequential
+//     pass per round in increasing depth order: the work is identical,
+//     only the per-round span of this step differs.)
 #include <atomic>
 #include <limits>
 #include <span>
@@ -89,9 +89,11 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   std::span<double> ev = arena.make_span<double>(n, 0.0);
   ev[t.root] = e(d0, t.root);
 
-  core::AtomicDpStats stats;
-  auto eval = [&](std::uint32_t u, std::size_t dep) {
-    stats.add_relaxations(1);
+  // Transition value of candidate u at depth `dep`, counted in `evals`
+  // (stats.relaxations on the round-loop thread, a local in each probe).
+  core::DpStats stats;
+  auto eval = [&](std::uint64_t& evals, std::uint32_t u, std::size_t dep) {
+    ++evals;
     return ev[u] + w(et.depth[u], dep);
   };
 
@@ -115,14 +117,17 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
     auto wins_at = [&](std::size_t dep) {
       const DecisionInterval* iv = pool.find(base, dep);
       return iv != nullptr &&
-             eval(u, dep) < eval(static_cast<std::uint32_t>(iv->j), dep);
+             eval(stats.relaxations, u, dep) <
+                 eval(stats.relaxations, static_cast<std::uint32_t>(iv->j),
+                      dep);
     };
     const DecisionInterval* first = pool.find_first(
         base, [&](const DecisionInterval& iv) {
           std::size_t probe = std::max(iv.r, lo);
           if (probe > iv.r) return false;  // triple entirely below lo
-          return eval(u, iv.r) <
-                 eval(static_cast<std::uint32_t>(iv.j), iv.r);
+          return eval(stats.relaxations, u, iv.r) <
+                 eval(stats.relaxations, static_cast<std::uint32_t>(iv.j),
+                      iv.r);
         });
     if (first == nullptr) return base;  // u never wins
     std::size_t a = std::max(first->l, lo), b = first->r;
@@ -166,7 +171,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   std::vector<std::uint32_t> active, still, order, next_roots;
 
   while (!roots.empty()) {
-    stats.add_round();
+    ++stats.rounds;
     telemetry::RoundSpan round_span("treeglws.round", stats);
     probed.clear();
 
@@ -193,13 +198,13 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
             r == t.root ? env[t.root]
                         : env[t.parent[r]];
         std::atomic<std::size_t> min_sentinel{cordon_of[r]};
-        parallel::parallel_for(0, batch.size(), [&](std::size_t k) {
+        stats += parallel::reduce(0, batch.size(), [&](std::size_t k) {
+          std::uint64_t relax = 0;
           std::uint32_t v = batch[k];
-          stats.add_states(1);
           std::size_t dep = et.depth[v];
           const DecisionInterval* iv = pool.find(base, dep);
           std::uint32_t u = static_cast<std::uint32_t>(iv->j);
-          res.d[v] = eval(u, dep);
+          res.d[v] = eval(relax, u, dep);
           res.best[v] = u;
           ev[v] = e(res.d[v], v);
           // Sentinel: first depth where v would beat the finalized
@@ -207,16 +212,16 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
           const DecisionInterval* first =
               pool.find_first(base, [&](const DecisionInterval& x) {
                 if (x.r <= dep) return false;
-                return eval(v, x.r) <
-                       eval(static_cast<std::uint32_t>(x.j), x.r);
+                return eval(relax, v, x.r) <
+                       eval(relax, static_cast<std::uint32_t>(x.j), x.r);
               });
           std::size_t s = kUnset;
           if (first != nullptr) {
             std::size_t a = std::max(first->l, dep + 1), b = first->r;
             auto vwins = [&](std::size_t dd) {
               const DecisionInterval* cur = pool.find(base, dd);
-              return eval(v, dd) <
-                     eval(static_cast<std::uint32_t>(cur->j), dd);
+              return eval(relax, v, dd) <
+                     eval(relax, static_cast<std::uint32_t>(cur->j), dd);
             };
             if (vwins(a)) {
               s = a;
@@ -238,6 +243,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
                                   cur, s, std::memory_order_relaxed)) {
             }
           }
+          return core::DpStats{1, relax, 0};
         });
         for (std::uint32_t v : batch) probed.push_back(v);  // lint: allow-alloc (high-water scratch, reused across rounds)
         cordon_of[r] = min_sentinel.load(std::memory_order_relaxed);
@@ -301,7 +307,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
     std::swap(roots, next_roots);
   }
 
-  res.stats = stats.snapshot();
+  res.stats = stats;
   return res;
 }
 

@@ -1,6 +1,6 @@
 // lint-fixture: R1
 //
-// A solver round loop (marked by stats.add_round()) that grows an
+// A solver round loop (marked by ++stats.rounds) that grows an
 // owning vector with no arena and no allow-alloc annotation.  Never
 // compiled — cordon_lint.py --fixtures must flag the push_back.
 #include <vector>
@@ -8,7 +8,7 @@
 void solve(DpStats& stats, std::size_t rounds) {
   std::vector<int> frontier;
   for (std::size_t r = 0; r < rounds; ++r) {
-    stats.add_round();
+    ++stats.rounds;
     frontier.push_back(static_cast<int>(r));  // R1: grows every round
   }
 }

@@ -240,21 +240,18 @@ TEST(Trace, RoundSpanAccountsStatsDeltas) {
   EXPECT_NE(json.find("\"name\":\"test.round\""), std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"states\":11,\"relaxations\":222}"),
             std::string::npos);
-}
 
-TEST(Trace, RoundSpanReadsAtomicStatsViaSnapshot) {
-  core::AtomicDpStats stats;
-  auto base = telemetry::snapshot();
+  // Untraced: the counters still move, but no span and no latency sample.
+  base = telemetry::snapshot();
   {
     telemetry::RoundSpan span("test.round", stats);
-    stats.add_states(5);
-    stats.add_relaxations(50);
+    stats.states += 5;
+    stats.relaxations += 50;
   }
-  auto delta = telemetry::snapshot().delta_since(base);
+  delta = telemetry::snapshot().delta_since(base);
   EXPECT_EQ(delta.counter(Counter::kSolverRounds), 1u);
   EXPECT_EQ(delta.counter(Counter::kSolverStates), 5u);
   EXPECT_EQ(delta.counter(Counter::kSolverRelaxations), 50u);
-  // Tracing was off: no span, no latency sample.
   EXPECT_EQ(delta.histogram(Histogram::kSolverRoundNs).count(), 0u);
 }
 

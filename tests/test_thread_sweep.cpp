@@ -26,16 +26,23 @@
 #include "src/gap/gap.hpp"
 #include "src/glws/costs.hpp"
 #include "src/glws/glws.hpp"
+#include "src/kglws/kglws.hpp"
 #include "src/lcs/lcs.hpp"
+#include "src/lis/lis.hpp"
+#include "src/oat/oat.hpp"
+#include "src/obst/obst.hpp"
 #include "src/parallel/random.hpp"
 #include "src/parallel/scheduler.hpp"
+#include "src/structures/tree_utils.hpp"
 #include "src/treeglws/tree_glws.hpp"
+#include "test_util.hpp"
 
 namespace cp = cordon::parallel;
 namespace core = cordon::core;
 namespace engine = cordon::engine;
 namespace telemetry = cordon::telemetry;
 namespace glws = cordon::glws;
+namespace ct = cordon::testing;
 
 namespace {
 
@@ -110,6 +117,24 @@ const RoutedFamily kRoutedFamilies[] = {
        return sum;
      }},
 };
+
+// glws's engine generator emits single-round instances (the whole
+// envelope resolves in one cordon), so multi-round glws is built
+// directly: a cheap post-office opening cost over unit-ish gaps forces a
+// long best-decision chain, i.e. many rounds lighter than
+// core::kFuseRelax.
+std::shared_ptr<std::vector<double>> chain_positions(std::size_t n) {
+  auto x = std::make_shared<std::vector<double>>(n + 1, 0.0);
+  for (std::size_t i = 1; i <= n; ++i)
+    (*x)[i] = (*x)[i - 1] + 0.5 + cp::uniform_double(7, i);
+  return x;
+}
+
+std::vector<std::uint32_t> random_symbols(std::size_t n, std::uint64_t seed,
+                                          std::uint64_t alphabet) {
+  std::vector<std::uint64_t> v = ct::random_values(n, seed, alphabet);
+  return {v.begin(), v.end()};
+}
 
 const RoutedFamily* routed(std::string_view key) {
   for (const RoutedFamily& f : kRoutedFamilies)
@@ -221,17 +246,11 @@ TEST(ThreadSweep, CutoffRoutesBothSidesOfTheTableThreshold) {
 TEST(ThreadSweep, RoundFusionDoesNotChangeAnswers) {
   restart_pool(8);
 
-  // glws's engine generator emits single-round instances (the whole
-  // envelope resolves in one cordon), so drive the high-round/low-work
-  // regime fusion targets directly: a cheap post-office opening cost
-  // forces a long best-decision chain, i.e. many rounds lighter than
-  // core::kFuseRelax.
+  // glws in the high-round/low-work regime fusion targets (see
+  // chain_positions).
   {
     const std::size_t n = 3000;
-    auto x = std::make_shared<std::vector<double>>(n + 1, 0.0);
-    for (std::size_t i = 1; i <= n; ++i)
-      (*x)[i] = (*x)[i - 1] + 0.5 + cp::uniform_double(7, i);
-    glws::CostFn w = glws::post_office_cost(x, 20.0);
+    glws::CostFn w = glws::post_office_cost(chain_positions(n), 20.0);
     glws::EFn e = glws::identity_e();
     auto base = telemetry::snapshot();
     glws::GlwsResult fused =
@@ -258,6 +277,146 @@ TEST(ThreadSweep, RoundFusionDoesNotChangeAnswers) {
         << key;
     engine::SolveResult ref = solver.solve_reference(inst);
     EXPECT_NEAR(fused, ref.objective, tol(ref.objective)) << key;
+  }
+}
+
+// Every solver's DpStats is part of its contract (the paper's work and
+// span bounds are stated in relaxations and rounds), and each parallel
+// body counts its own share and hands it back through the fork-join.
+// Pin the exact counts of every parallel path on fixed instances: they
+// must not depend on the pool size, and a dropped or double-counted
+// evaluation anywhere in a parallel body (envelope merge, argmin leaf,
+// probe loop) changes a number here.  The goldens were recorded from the
+// shared-atomic-counter implementation these bodies replaced.
+TEST(ThreadSweep, ParallelPathStatsArePinnedAtEveryPoolSize) {
+  struct Pinned {
+    const char* name;
+    core::DpStats (*run)();
+    core::DpStats want;
+  };
+  using cordon::structures::RootedTree;
+  static const Pinned kPinned[] = {
+      {"glws_parallel convex",
+       [] {
+         const std::size_t n = 3000;
+         return glws::glws_parallel(
+                    n, 0.0, glws::post_office_cost(chain_positions(n), 20.0),
+                    glws::identity_e(), glws::Shape::kConvex)
+             .stats;
+       },
+       {3008, 106022, 631}},
+      // A huge opening cost makes the first frontier ~10^3 states wide,
+      // so FindIntervals' argmin splits above its sequential leaf.
+      {"glws_parallel convex wide",
+       [] {
+         const std::size_t n = 3000;
+         return glws::glws_parallel(
+                    n, 0.0, glws::post_office_cost(chain_positions(n), 1e6),
+                    glws::identity_e(), glws::Shape::kConvex)
+             .stats;
+       },
+       {3000, 87191, 3}},
+      {"glws_parallel concave wide",
+       [] {
+         const std::size_t n = 3000;
+         return glws::glws_parallel(
+                    n, 0.0, glws::sqrt_span_cost(chain_positions(n), 0.5),
+                    glws::identity_e(), glws::Shape::kConcave)
+             .stats;
+       },
+       {3000, 9076, 4}},
+      // A small per-index discount on E turns concave economies of scale
+      // into a long chain: ~2000 rounds, each with an Alg. 2 merge.
+      {"glws_parallel concave",
+       [] {
+         const std::size_t n = 3000;
+         glws::EFn e = [](double d, std::size_t j) {
+           return d - 0.002 * static_cast<double>(j);
+         };
+         return glws::glws_parallel(
+                    n, 0.0, glws::sqrt_span_cost(chain_positions(n), 2.0), e,
+                    glws::Shape::kConcave)
+             .stats;
+       },
+       {3033, 31267, 2011}},
+      {"gap_parallel convex",
+       [] {
+         return cordon::gap::gap_parallel(
+                    random_symbols(150, 3, 4), random_symbols(140, 4, 4),
+                    cordon::gap::quadratic_gap_cost(2.0, 0.25),
+                    cordon::gap::quadratic_gap_cost(3.0, 0.20),
+                    glws::Shape::kConvex)
+             .stats;
+       },
+       {28983, 891891, 198}},
+      {"gap_parallel concave",
+       [] {
+         return cordon::gap::gap_parallel(
+                    random_symbols(150, 5, 4), random_symbols(140, 6, 4),
+                    cordon::gap::log_gap_cost(1.0, 2.0),
+                    cordon::gap::log_gap_cost(1.5, 2.0), glws::Shape::kConcave)
+             .stats;
+       },
+       {35369, 406166, 96}},
+      {"tree_glws_parallel",
+       [] {
+         RootedTree t(ct::random_tree_parents(3000, 17));
+         auto x = ct::random_positions(3000, 18);
+         glws::CostFn w = [x](std::size_t du, std::size_t dv) {
+           double s = (*x)[dv] - (*x)[du];
+           return 20.0 + 0.1 * s * s;
+         };
+         return cordon::treeglws::tree_glws_parallel(t, 0.0, w,
+                                                     glws::identity_e())
+             .stats;
+       },
+       {3844, 57544, 7}},
+      {"obst_parallel",
+       [] {
+         auto v = ct::random_values(300, 21, 1000);
+         std::vector<double> w(v.begin(), v.end());
+         return cordon::obst::obst_parallel(w).stats;
+       },
+       {45150, 89574, 300}},
+      {"kglws_dc",
+       [] {
+         const std::size_t n = 5000;
+         return cordon::kglws::kglws_dc(n, 4, ct::random_convex_cost(n, 23))
+             .stats;
+       },
+       {20000, 251770, 4}},
+      {"lis_parallel",
+       [] {
+         return cordon::lis::lis_parallel(ct::random_values(5000, 25, 1u << 20))
+             .stats;
+       },
+       {5000, 5000, 135}},
+      {"lcs_parallel",
+       [] {
+         return cordon::lcs::lcs_parallel(
+                    cordon::lcs::match_pairs_soa(random_symbols(2000, 27, 16),
+                                                 random_symbols(2000, 28, 16)))
+             .stats;
+       },
+       {250483, 250483, 779}},
+      {"oat_parallel",
+       [] {
+         auto v = ct::random_values(3000, 29, 1000);
+         std::vector<double> w;
+         for (std::uint64_t x : v) w.push_back(static_cast<double>(x + 1));
+         return cordon::oat::oat_parallel(w).stats;
+       },
+       {22617, 809331, 26}},
+  };
+  for (std::size_t workers : {1u, 2u, 4u, 8u}) {
+    restart_pool(workers);
+    for (const Pinned& p : kPinned) {
+      core::DpStats got = p.run();
+      EXPECT_EQ(got.states, p.want.states) << p.name << " workers=" << workers;
+      EXPECT_EQ(got.relaxations, p.want.relaxations)
+          << p.name << " workers=" << workers;
+      EXPECT_EQ(got.rounds, p.want.rounds) << p.name << " workers=" << workers;
+    }
   }
 }
 
