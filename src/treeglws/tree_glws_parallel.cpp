@@ -90,7 +90,7 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
   ev[t.root] = e(d0, t.root);
 
   // Transition value of candidate u at depth `dep`, counted in `evals`
-  // (stats.relaxations on the round-loop thread, a local in each probe).
+  // (a local in each probe, and one per round for the envelope inserts).
   core::DpStats stats;
   auto eval = [&](std::uint64_t& evals, std::uint32_t u, std::size_t dep) {
     ++evals;
@@ -106,9 +106,10 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
       pool.build({{1, max_depth == 0 ? 1 : max_depth, t.root}});
 
   // Convex insert of freshly finalized candidate u into its parent's
-  // envelope (split / truncate straddler / append).
+  // envelope (split / truncate straddler / append); adds its cost
+  // evaluations to `relax`.
   auto insert_candidate = [&](PersistentIntervalTreap::Ref base,
-                              std::uint32_t u) {
+                              std::uint32_t u, std::uint64_t& relax) {
     std::size_t lo = et.depth[u] + 1;
     if (lo > max_depth) return base;
     // First depth >= lo where u beats the envelope.  Convexity: the win
@@ -117,17 +118,15 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
     auto wins_at = [&](std::size_t dep) {
       const DecisionInterval* iv = pool.find(base, dep);
       return iv != nullptr &&
-             eval(stats.relaxations, u, dep) <
-                 eval(stats.relaxations, static_cast<std::uint32_t>(iv->j),
-                      dep);
+             eval(relax, u, dep) <
+                 eval(relax, static_cast<std::uint32_t>(iv->j), dep);
     };
     const DecisionInterval* first = pool.find_first(
         base, [&](const DecisionInterval& iv) {
           std::size_t probe = std::max(iv.r, lo);
           if (probe > iv.r) return false;  // triple entirely below lo
-          return eval(stats.relaxations, u, iv.r) <
-                 eval(stats.relaxations, static_cast<std::uint32_t>(iv.j),
-                      iv.r);
+          return eval(relax, u, iv.r) <
+                 eval(relax, static_cast<std::uint32_t>(iv.j), iv.r);
         });
     if (first == nullptr) return base;  // u never wins
     std::size_t a = std::max(first->l, lo), b = first->r;
@@ -290,8 +289,10 @@ TreeGlwsResult tree_glws_parallel(const RootedTree& t, double d0,
               [&](std::uint32_t a, std::uint32_t b) {
                 return et.depth[a] < et.depth[b];
               });
+    std::uint64_t insert_relax = 0;
     for (std::uint32_t v : order)
-      env[v] = insert_candidate(env[t.parent[v]], v);
+      env[v] = insert_candidate(env[t.parent[v]], v, insert_relax);
+    stats.relaxations += insert_relax;
     for (std::uint32_t v : order)
       for (std::uint32_t c : t.children[v])
         if (!ready[c]) next_roots.push_back(c);  // lint: allow-alloc (high-water scratch, reused across rounds)
