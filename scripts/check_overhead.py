@@ -2,9 +2,10 @@
 """Telemetry overhead gate: compiled-in-but-idle tracing must be free.
 
 Compares two CORDON_BENCH_JSON trajectories of bench_engine_batch — one
-from a -DCORDON_TELEMETRY=OFF build (baseline) and one from the default
-build with tracing compiled in but disabled — and fails if any series'
-best (minimum) wall time regressed by more than the tolerance.
+from a -DCORDON_INSTRUMENT=off build (baseline: telemetry, audit and
+fault hooks all compiled out) and one from the default build with
+tracing compiled in but disabled — and fails if any series' best
+(minimum) wall time regressed by more than the tolerance.
 
 Minima over CORDON_BENCH_REPS repetitions are compared, not single
 shots, and a small absolute slack is added on top of the relative
@@ -43,7 +44,7 @@ def best_by_series(path: str) -> dict:
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("baseline", help="trajectory from the telemetry-OFF build")
+    ap.add_argument("baseline", help="trajectory from the -DCORDON_INSTRUMENT=off build")
     ap.add_argument("candidate", help="trajectory from the default build")
     ap.add_argument("--rel-tol", type=float, default=0.02)
     ap.add_argument("--abs-slack-s", type=float, default=0.010)

@@ -5,7 +5,8 @@ to the sequential algorithm, and must beat it once the hardware can.
 Consumes one thread-sweep trajectory produced by scripts/run_benches.sh
 (JSON-lines; every record carries the real worker count the scheduler
 used in its "threads" field) and enforces, for the gated families
-(glws, lcs, gap):
+(glws, lcs, gap) — those whose bench the meta record's "benches" list
+names, or all three when the record has no list:
 
   1. Correctness: every record must say verified=1 — a fast wrong
      answer gates nothing.
@@ -125,7 +126,13 @@ def main():
               "(regenerate with scripts/run_benches.sh)", file=sys.stderr)
         cores = 1
 
-    missing = [f for f in sorted(set(FAMILIES.values())) if f not in points]
+    # A sweep that names its benches (run_benches.sh's meta "benches")
+    # must cover the gated families among them; one without the list
+    # must cover all three.
+    swept = meta.get("benches")
+    gated = sorted({f for bench, f in FAMILIES.items()
+                    if swept is None or bench in swept.split()})
+    missing = [f for f in gated if f not in points]
     if missing:
         print(f"check_scaling: FAIL: no records for families: "
               f"{', '.join(missing)} in {args.trajectory}", file=sys.stderr)

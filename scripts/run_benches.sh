@@ -2,12 +2,16 @@
 # Runs the Release bench suite across a grid of worker counts and
 # consolidates every bench's machine-readable records
 # (CORDON_BENCH_JSON JSON-lines) into one trajectory file, so
-# successive PRs can prove speedups — and scaling — against the
-# committed baseline (BENCH_PR7.json at the repo root is the current
-# one).  scripts/check_scaling.py consumes the output.
+# successive changes can prove speedups — and scaling — against the
+# committed trajectories at the repo root: BENCH_PR16.json is the latest
+# `cores: 4` one (glws and gap only), BENCH_PR7.json the last full
+# sweep (`cores: 1`).  scripts/check_scaling.py consumes the output.
 #
 # Usage:
-#   scripts/run_benches.sh [build-dir] [output.json]
+#   scripts/run_benches.sh build-dir output.json
+#
+# The output path is required, and an existing BENCH_PR*.json is never
+# overwritten: committed trajectories are records, not scratch files.
 #
 # Environment:
 #   CORDON_BENCH_THREADS  space-separated worker-count grid
@@ -26,8 +30,16 @@
 #  -DCORDON_BUILD_BENCH=ON).
 set -euo pipefail
 
-BUILD_DIR="${1:-build-bench}"
-OUT="${2:-BENCH_PR7.json}"
+if (( $# != 2 )); then
+  echo "usage: $0 build-dir output.json" >&2
+  exit 2
+fi
+BUILD_DIR="$1"
+OUT="$2"
+if [[ "$(basename "$OUT")" == BENCH_PR*.json && -e "$OUT" ]]; then
+  echo "error: refusing to overwrite committed trajectory '$OUT'" >&2
+  exit 2
+fi
 
 CORES="$(nproc)"
 if [[ -n "${CORDON_BENCH_THREADS:-}" ]]; then
@@ -62,11 +74,14 @@ trap 'rm -f "$tmp"' EXIT
 # when cores < the gate's thread floor.  Every bench record carries its
 # own real `threads` value, stamped by the JsonEmitter from the live
 # scheduler — the sweep never has to trust this header for that.
+# `benches` lists the thread-swept benches, so check_scaling.py gates
+# exactly the families this sweep was asked to run.
 {
-  printf '{"bench":"meta","host":"%s","cores":%s,"thread_grid":"%s","n":"%s","gap_n":"%s","date":"%s","git":"%s"}\n' \
+  printf '{"bench":"meta","host":"%s","cores":%s,"thread_grid":"%s","benches":"%s","n":"%s","gap_n":"%s","date":"%s","git":"%s"}\n' \
     "$(uname -m)" \
     "$CORES" \
     "$GRID" \
+    "$BENCHES" \
     "${CORDON_BENCH_N:-default}" \
     "$GAP_N" \
     "$(date -u +%Y-%m-%dT%H:%M:%SZ)" \

@@ -4,21 +4,14 @@
 // concurrent and geometric structures (deque top/bottom ordering,
 // eventcount epoch monotonicity, arena epoch LIFO balance, envelope
 // convexity, threshold-frontier sortedness, session version linearity,
-// cache pin refcounts).  The checks are active exactly where they pay
-// for themselves — Debug builds and every sanitizer build, where a
-// violation aborts loudly at the first broken invariant instead of
-// surfacing as a downstream wrong answer — and compile to a true no-op
-// in Release, the same contract as -DCORDON_TELEMETRY=OFF: the
+// cache pin refcounts).  The checks are active exactly in checked
+// builds (CORDON_CHECKED_BUILD, core/checked_build.hpp: Debug, any
+// sanitizer, or -DCORDON_INSTRUMENT=checked), where a violation aborts
+// loudly at the first broken invariant instead of surfacing as a
+// downstream wrong answer, and compile to a true no-op otherwise: the
 // condition expression is still type-checked (unevaluated sizeof), so
 // an invariant cannot rot behind the build flag, but no code is
 // generated, which is what the native-bench overhead gate measures.
-//
-// Enablement, first match wins:
-//   * -DCORDON_AUDIT=OFF (CORDON_AUDIT_DISABLED)  -> off everywhere
-//   * -DCORDON_AUDIT=ON  (CORDON_AUDIT_FORCE)     -> on, any build type
-//   * otherwise CORDON_CHECKED_BUILD (core/checked_build.hpp): on in
-//     Debug builds and whenever ASan/TSan/UBSan is compiled in, off in
-//     Release/RelWithDebInfo
 //
 // CORDON_AUDIT_SCOPE(...) registers statements to run at scope exit in
 // audit builds (re-verifying an invariant after a mutation spree, e.g.
@@ -34,19 +27,11 @@
 
 #include "src/core/checked_build.hpp"
 
-#if defined(CORDON_AUDIT_DISABLED)
-#define CORDON_AUDIT_ENABLED 0
-#elif defined(CORDON_AUDIT_FORCE)
-#define CORDON_AUDIT_ENABLED 1
-#else
-#define CORDON_AUDIT_ENABLED CORDON_CHECKED_BUILD
-#endif
-
 namespace cordon::core::audit {
 
-inline constexpr bool kEnabled = CORDON_AUDIT_ENABLED != 0;
+inline constexpr bool kEnabled = CORDON_CHECKED_BUILD != 0;
 
-#if CORDON_AUDIT_ENABLED
+#if CORDON_CHECKED_BUILD
 
 /// Checks evaluated since process start (all threads).  Lets tests
 /// assert the layer is actually live in audit builds — a refactor that
@@ -89,7 +74,7 @@ class ScopeCheck {
   F f_;
 };
 
-#else  // !CORDON_AUDIT_ENABLED
+#else  // !CORDON_CHECKED_BUILD
 
 inline std::uint64_t checks_run() noexcept { return 0; }
 
@@ -97,7 +82,7 @@ inline std::uint64_t checks_run() noexcept { return 0; }
 
 }  // namespace cordon::core::audit
 
-#if CORDON_AUDIT_ENABLED
+#if CORDON_CHECKED_BUILD
 
 // Optional second argument: a string literal naming the invariant, e.g.
 //   CORDON_DCHECK(t <= b, "deque top ran past bottom");
@@ -118,7 +103,7 @@ inline std::uint64_t checks_run() noexcept { return 0; }
   ::cordon::core::audit::ScopeCheck CORDON_AUDIT_DETAIL_CONCAT(         \
       cordon_audit_scope_, __LINE__)([&]() { __VA_ARGS__; })
 
-#else  // !CORDON_AUDIT_ENABLED
+#else  // !CORDON_CHECKED_BUILD
 
 // Unevaluated sizeof keeps the condition type-checked at zero cost; the
 // conditional operator forces a contextual bool conversion, so exactly

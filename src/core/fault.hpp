@@ -30,10 +30,11 @@
 // Site keys: arena_alloc, delta_apply, cache_evict, journal_io,
 // worker_wake; values are rates in parts per million.
 //
-// Build gating: compiled out exactly like audit.hpp — live in Debug and
-// sanitizer builds, forced with -DCORDON_FAULT=ON, absent from Release
-// (the injection-point macros expand to nothing, which is what the
-// bench overhead gate measures).  The query API stays callable in all
+// Build gating: compiled in exactly where audit.hpp is — checked builds
+// (CORDON_CHECKED_BUILD: Debug, any sanitizer, or
+// -DCORDON_INSTRUMENT=checked) — and absent otherwise (the
+// injection-point macros expand to nothing, which is what the bench
+// overhead gate measures).  The query API stays callable in all
 // builds so tests can GTEST_SKIP when the layer is compiled out.
 #pragma once
 
@@ -50,17 +51,9 @@
 #include "src/core/cancel.hpp"
 #include "src/core/checked_build.hpp"
 
-#if defined(CORDON_FAULT_DISABLED)
-#define CORDON_FAULT_ENABLED 0
-#elif defined(CORDON_FAULT_FORCE)
-#define CORDON_FAULT_ENABLED 1
-#else
-#define CORDON_FAULT_ENABLED CORDON_CHECKED_BUILD
-#endif
-
 namespace cordon::core::fault {
 
-inline constexpr bool kEnabled = CORDON_FAULT_ENABLED != 0;
+inline constexpr bool kEnabled = CORDON_CHECKED_BUILD != 0;
 
 enum class Site : std::uint8_t {
   kArenaAlloc = 0,
@@ -94,7 +87,7 @@ struct FaultPlan {
   }
 };
 
-#if CORDON_FAULT_ENABLED
+#if CORDON_CHECKED_BUILD
 
 namespace detail {
 
@@ -258,7 +251,7 @@ inline void maybe_delay(Site site) noexcept {
       std::chrono::microseconds(50 + (salt++ * 67) % 200));
 }
 
-#else  // !CORDON_FAULT_ENABLED
+#else  // !CORDON_CHECKED_BUILD
 
 inline void arm(const FaultPlan&) noexcept {}
 inline void disarm() noexcept {}
@@ -276,7 +269,7 @@ inline void maybe_delay(Site) noexcept {}
 // Injection-point macros: zero tokens in Release so hot paths carry no
 // disarmed-check cost there (the ≤2% bench gate); a single relaxed load
 // per site when compiled in but disarmed.
-#if CORDON_FAULT_ENABLED
+#if CORDON_CHECKED_BUILD
 #define CORDON_FAULT_POINT(site, stmt)                         \
   do {                                                         \
     if (::cordon::core::fault::should_throw(site)) [[unlikely]] \

@@ -10,9 +10,9 @@
 //
 // Vectorization is a *hint*, never a semantic: `CORDON_SIMD_LOOP` expands
 // to the strongest innocuous per-compiler loop pragma (clang loop /
-// GCC ivdep; nothing when CORDON_DISABLE_SIMD_HINTS is defined) and the
-// loops are written so the hint can only change speed.  The `scalar` namespace keeps the obvious
-// branchy reference implementations; oracle tests assert the two agree
+// GCC ivdep) and the loops are written so the hint can only change
+// speed.  The `scalar` namespace keeps the obvious branchy reference
+// implementations; oracle tests assert the two agree
 // bit-for-bit (inputs are NaN-free, and both sides reduce with the same
 // exact `<` comparisons, so equality is exact, not approximate).
 //
@@ -36,9 +36,7 @@
 // hints below are safe for such loops: they assert no *memory*
 // dependence between iterations (true here), and a register reduction
 // is the compiler's to recognize or reject.
-#if defined(CORDON_DISABLE_SIMD_HINTS)
-#define CORDON_SIMD_LOOP
-#elif defined(__clang__)
+#if defined(__clang__)
 #define CORDON_SIMD_LOOP _Pragma("clang loop vectorize(enable) interleave(enable)")
 #elif defined(__GNUC__)
 #define CORDON_SIMD_LOOP _Pragma("GCC ivdep")

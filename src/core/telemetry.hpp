@@ -28,10 +28,10 @@
 //
 // The registry is created lazily and intentionally leaked (same
 // reasoning as worker_arena(): pool threads alive at process exit must
-// not race a destructor).  Compiling with CORDON_TELEMETRY_DISABLED
-// (-DCORDON_TELEMETRY=OFF in CMake) turns every operation into a no-op
-// so the overhead gate can measure the instrumented build against a
-// true zero-telemetry baseline.
+// not race a destructor).  The `off` instrumentation profile
+// (-DCORDON_INSTRUMENT=off, core/checked_build.hpp) turns every
+// operation into a no-op so the overhead gate can measure the
+// instrumented build against a true zero-telemetry baseline.
 //
 // The span tracer on top of these slots lives in src/core/trace.hpp.
 #pragma once
@@ -45,21 +45,18 @@
 #include <ostream>
 #include <vector>
 
+#include "src/core/checked_build.hpp"
 #include "src/parallel/scheduler.hpp"
 
 namespace cordon::telemetry {
 
-#if defined(CORDON_TELEMETRY_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
+inline constexpr bool kEnabled = CORDON_TELEMETRY_BUILD != 0;
 
 enum class Counter : std::uint16_t {
   kSchedStealAttempts,  // victim deques probed (incl. empty probes)
   kSchedSteals,         // successful steals
   kSchedParks,          // workers committed to sleep on the eventcount
-  kSchedWakes,          // wake notifications issued by work publishers
+  kSchedWakes,          // notifies that found a registered waiter
   kSchedJobsRun,        // jobs executed off a deque (stolen or helped)
   kSchedPushOverflows,  // full-deque pushes degraded to inline execution
   kSchedAdoptions,      // ExternalWorkerScope slots claimed
@@ -118,7 +115,8 @@ inline constexpr std::array<MetricInfo, kNumCounters> kCounterInfo{{
     {"cordon_sched_parks_total",
      "Times a worker committed to sleep on the eventcount"},
     {"cordon_sched_wakes_total",
-     "Wake notifications issued after publishing work"},
+     "Wake notifications issued to a registered waiter after publishing "
+     "work"},
     {"cordon_sched_jobs_total",
      "Jobs executed off a deque (stolen or helped; inline par_do fast "
      "path excluded)"},

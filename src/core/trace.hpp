@@ -365,7 +365,7 @@ class RoundSpan {
       : stats_(stats), span_(name, "solver") {
     // The per-round cancellation/deadline check rides the one hook every
     // solver already constructs each round; it must run even with
-    // -DCORDON_TELEMETRY=OFF, so it sits before the kEnabled gate.  May
+    // -DCORDON_INSTRUMENT=off, so it sits before the kEnabled gate.  May
     // throw core::SolveError (hence this constructor is not noexcept);
     // round boundaries sit inside BatchExecutor's containment try or on
     // a top-level caller's stack, both throw-safe.

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/checked_build.hpp"
 #include "src/core/fault.hpp"
 #include "src/core/trace.hpp"
 #include "src/parallel/event_count.hpp"
@@ -25,14 +26,7 @@
 // free.  Suppress exactly that one runtime function via the default
 // suppressions hook (picked up without TSAN_OPTIONS plumbing); races in
 // instrumented code still fire.
-#if defined(__SANITIZE_THREAD__)
-#define CORDON_TSAN_ACTIVE 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define CORDON_TSAN_ACTIVE 1
-#endif
-#endif
-#ifdef CORDON_TSAN_ACTIVE
+#if CORDON_TSAN_BUILD
 extern "C" const char* __tsan_default_suppressions();
 extern "C" const char* __tsan_default_suppressions() {
   return "race:std::__exception_ptr::exception_ptr::_M_release\n";
@@ -280,10 +274,10 @@ void Pool::run_job(detail::Job* job) {
   // order: seq_cst — producer half of the join-park Dekker handshake;
   // pairs with wait_for's registration.
   if (join_parked.load(std::memory_order_seq_cst) > 0) {
-    telemetry::count(telemetry::Counter::kSchedWakes);
     // Chaos: delay (never drop) the wake to widen the park/wake race.
     CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-    sleepers.notify_all();
+    if (sleepers.notify_all())
+      telemetry::count(telemetry::Counter::kSchedWakes);
   }
 }
 
@@ -364,10 +358,10 @@ bool push_job(Job* job) {
   // Publish-then-wake: the push above is the publication, so a parked
   // worker (or join-waiter) can now take the job.  No-op in one fence +
   // one load when nobody is parked.
-  telemetry::count(telemetry::Counter::kSchedWakes);
   // Chaos: delay (never drop) the wake to widen the park/wake race.
   CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-  p.sleepers.notify_one();
+  if (p.sleepers.notify_one())
+    telemetry::count(telemetry::Counter::kSchedWakes);
   return true;
 }
 
@@ -465,10 +459,10 @@ bool adopt_external_worker() {
       telemetry::trace_instant("adopt", "sched");
       // The adopter is about to publish forks onto a fresh deque: give
       // a parked worker a head start on stealing them.
-      telemetry::count(telemetry::Counter::kSchedWakes);
       // Chaos: delay (never drop) the wake to widen the park/wake race.
       CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-      p.sleepers.notify_one();
+      if (p.sleepers.notify_one())
+        telemetry::count(telemetry::Counter::kSchedWakes);
       return true;
     }
   }

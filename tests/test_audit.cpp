@@ -3,11 +3,11 @@
 //
 // The audit layer's contract is configuration-dependent by design, so
 // the same binary asserts different things depending on how it was
-// built: with CORDON_AUDIT_ENABLED the checks evaluate (exactly once)
-// and a violation aborts; without it the macros are true no-ops whose
-// condition expressions are never evaluated.  Both halves are covered
-// because CI builds this suite Debug+sanitized (audit on) and
-// RelWithDebInfo (audit off).
+// built: in a checked build (CORDON_CHECKED_BUILD) the checks evaluate
+// (exactly once) and a violation aborts; otherwise the macros are true
+// no-ops whose condition expressions are never evaluated.  Both halves
+// are covered because CI builds this suite Debug+sanitized (checked)
+// and RelWithDebInfo (not checked).
 #include "src/core/audit.hpp"
 
 #include <cstdlib>
@@ -16,16 +16,24 @@
 #include <gtest/gtest.h>
 
 #include "src/core/arena.hpp"
+#include "src/core/fault.hpp"
 #include "src/structures/monotonic_queue.hpp"
 
 namespace audit = cordon::core::audit;
+namespace fault = cordon::core::fault;
 
 TEST(Audit, KEnabledMatchesTheBuildConfiguration) {
-#if CORDON_AUDIT_ENABLED
+#if CORDON_CHECKED_BUILD
   EXPECT_TRUE(audit::kEnabled);
 #else
   EXPECT_FALSE(audit::kEnabled);
 #endif
+}
+
+// One instrumentation profile: the invariant checks and the fault hooks
+// are compiled in together or not at all, in every build configuration.
+TEST(Audit, AuditAndFaultLayersShareOneProfile) {
+  EXPECT_EQ(audit::kEnabled, fault::kEnabled);
 }
 
 TEST(Audit, ConditionEvaluatesExactlyOnceWhenEnabledNeverWhenDisabled) {
@@ -84,7 +92,7 @@ TEST(Audit, InstrumentedHotPathsExecuteChecksInAuditBuilds) {
     EXPECT_EQ(audit::checks_run(), 0u);
 }
 
-#if CORDON_AUDIT_ENABLED && defined(GTEST_HAS_DEATH_TEST)
+#if CORDON_CHECKED_BUILD && defined(GTEST_HAS_DEATH_TEST)
 
 TEST(AuditDeathTest, FailingCheckAbortsWithTheInvariantMessage) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -106,7 +114,7 @@ TEST(AuditDeathTest, ScopeCheckFiresOnBrokenExitInvariant) {
       "version linearity broken");
 }
 
-#endif  // CORDON_AUDIT_ENABLED && GTEST_HAS_DEATH_TEST
+#endif  // CORDON_CHECKED_BUILD && GTEST_HAS_DEATH_TEST
 
 // --- repo lint --------------------------------------------------------------
 //

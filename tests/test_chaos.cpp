@@ -257,8 +257,8 @@ TEST(Chaos, OverloadStormShedsTypedUnderBothPolicies) {
 
 TEST(Chaos, SeededFaultPlansYieldOnlyTypedOutcomesAndLinearLineages) {
   if (!cf::kEnabled)
-    GTEST_SKIP() << "fault layer compiled out (Release without "
-                    "-DCORDON_FAULT=ON)";
+    GTEST_SKIP() << "fault layer compiled out (build with "
+                    "-DCORDON_INSTRUMENT=checked)";
   using S = cf::Site;
   struct NamedPlan {
     const char* name;

@@ -154,6 +154,29 @@ TEST(Telemetry, ExternalWorkerScopeRoutesToWorkerSlot) {
   EXPECT_EQ(after, parallel::worker_slots());
 }
 
+TEST(Telemetry, SchedWakesCountsOnlyNotifiesThatFoundAWaiter) {
+  if (!telemetry::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  // A 1-worker pool has no other thread that could park, so every fork
+  // publishes its right branch onto the deque and wakes nobody.
+  const std::size_t original = parallel::num_workers();
+  parallel::detail::shutdown_pool();
+  ASSERT_TRUE(parallel::set_num_workers(1));
+  parallel::ensure_started();
+
+  constexpr int kForks = 1000;
+  int ran = 0;
+  auto base = telemetry::snapshot();
+  for (int i = 0; i < kForks; ++i)
+    parallel::par_do([&] { ++ran; }, [&] { ++ran; });
+  auto delta = telemetry::snapshot().delta_since(base);
+  EXPECT_EQ(ran, 2 * kForks);
+  EXPECT_EQ(delta.counter(Counter::kSchedWakes), 0u);
+
+  parallel::detail::shutdown_pool();
+  ASSERT_TRUE(parallel::set_num_workers(original));
+  parallel::ensure_started();
+}
+
 TEST(Trace, DisabledRecordingIsANoOp) {
   telemetry::set_trace_enabled(false);
   telemetry::trace_reset();
