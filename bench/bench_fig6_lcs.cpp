@@ -10,6 +10,7 @@
 // Defaults are CI-scale; CORDON_BENCH_N rescales to paper scale.
 #include <algorithm>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench/common.hpp"
@@ -21,10 +22,10 @@ using namespace cordon;
 namespace {
 
 // L pairs in k antidiagonal bands over an n x n grid: LCS == min(k, ...).
-std::vector<lcs::MatchPair> banded_pairs(std::size_t n, std::size_t total,
-                                         std::size_t k, std::uint64_t seed) {
-  std::vector<lcs::MatchPair> pairs;
-  pairs.reserve(total);
+lcs::MatchPairsSoA banded_pairs(std::size_t n, std::size_t total,
+                                std::size_t k, std::uint64_t seed) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> ij;
+  ij.reserve(total);
   std::size_t per_band = total / k;
   std::size_t step = n / k;
   std::size_t spread = step > 2 ? step / 2 : 1;
@@ -36,15 +37,21 @@ std::vector<lcs::MatchPair> banded_pairs(std::size_t n, std::size_t total,
       std::size_t i = center - spread + off;
       std::size_t j = 2 * center - i;
       if (i < n && j < n)
-        pairs.push_back({static_cast<std::uint32_t>(i),
-                         static_cast<std::uint32_t>(j)});
+        ij.emplace_back(static_cast<std::uint32_t>(i),
+                        static_cast<std::uint32_t>(j));
     }
   }
   // Algorithms need (i asc, j desc) order.
-  std::sort(pairs.begin(), pairs.end(),
-            [](const lcs::MatchPair& a, const lcs::MatchPair& b) {
-              return a.i != b.i ? a.i < b.i : a.j > b.j;
-            });
+  std::sort(ij.begin(), ij.end(), [](const auto& x, const auto& y) {
+    return x.first != y.first ? x.first < y.first : x.second > y.second;
+  });
+  lcs::MatchPairsSoA pairs;
+  pairs.i.reserve(ij.size());
+  pairs.j.reserve(ij.size());
+  for (auto [i, j] : ij) {
+    pairs.i.push_back(i);
+    pairs.j.push_back(j);
+  }
   return pairs;
 }
 
@@ -59,16 +66,9 @@ int main() {
   for (std::size_t l_mult : {1, 4}) {
     std::size_t total = n * l_mult;
     for (std::size_t k = 64; k <= n / 16; k *= 8) {
-      auto aos = banded_pairs(n, total, k, 42 + k);
-      // The solvers consume the SoA form (split once, outside timings —
-      // match_pairs_soa produces it directly on the real pipeline).
-      lcs::MatchPairsSoA pairs;
-      pairs.i.reserve(aos.size());
-      pairs.j.reserve(aos.size());
-      for (const lcs::MatchPair& p : aos) {
-        pairs.i.push_back(p.i);
-        pairs.j.push_back(p.j);
-      }
+      // Pair generation stays outside the timings, as match_pairs_soa
+      // does on the real pipeline.
+      auto pairs = banded_pairs(n, total, k, 42 + k);
       parallel::ensure_started();
       // Production path (adaptive routing included) at the current pool
       // size — the series the scaling gate reads.

@@ -1,14 +1,12 @@
 // Microbenchmarks (google-benchmark) for the data-structure substrates:
-// tournament-tree extraction, persistent-treap ops, parallel sort/scan.
+// tournament-tree extraction and persistent-treap ops.
 // These quantify the constants behind the per-round costs of the cordon
 // algorithms.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
-#include "src/parallel/primitives.hpp"
 #include "src/parallel/random.hpp"
-#include "src/parallel/sort.hpp"
 #include "src/structures/persistent_treap.hpp"
 #include "src/structures/tournament_tree.hpp"
 
@@ -44,29 +42,5 @@ static void BM_TreapInsertChain(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_TreapInsertChain)->Arg(1 << 10)->Arg(1 << 14);
-
-static void BM_ParallelSort(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> base(n);
-  for (std::size_t i = 0; i < n; ++i) base[i] = cp::hash64(3, i);
-  for (auto _ : state) {
-    auto v = base;
-    cp::sort(v);
-    benchmark::DoNotOptimize(v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelSort)->Arg(1 << 16)->Arg(1 << 20);
-
-static void BM_ParallelScan(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::uint64_t> base(n, 1);
-  for (auto _ : state) {
-    auto v = base;
-    benchmark::DoNotOptimize(cp::scan_add(v));
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ParallelScan)->Arg(1 << 20);
 
 BENCHMARK_MAIN();

@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   auto b = symbolize(b_lines);
 
   // Sparse LCS, then recover one optimal match chain (the common lines).
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
   auto res = lcs_parallel(pairs);
   auto chain = recover_chain(pairs, res);
 

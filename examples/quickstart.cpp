@@ -44,7 +44,7 @@ int main() {
   // --- 3. Sparse LCS ----------------------------------------------------
   std::vector<std::uint32_t> a{'b', 'a', 'n', 'a', 'n', 'a'};
   std::vector<std::uint32_t> b{'a', 'n', 'a', 'n', 'a', 's'};
-  auto pairs = lcs::match_pairs(a, b);
+  auto pairs = lcs::match_pairs_soa(a, b);
   auto lcs = lcs::lcs_parallel(pairs);
   std::printf("LCS(banana, ananas) = %u over %zu match pairs\n", lcs.length,
               pairs.size());

@@ -7,7 +7,6 @@
 #include "src/core/kernels.hpp"
 #include "src/core/trace.hpp"
 #include "src/kglws/smawk.hpp"
-#include "src/parallel/primitives.hpp"
 #include "src/parallel/scheduler.hpp"
 
 namespace cordon::kglws {

@@ -6,10 +6,10 @@
 //
 //   * lcs_naive      — O(nm) grid DP (oracle),
 //   * lcs_sparse_seq — Hunt–Szymanski-style O(L log n) over match pairs,
-//   * lcs_parallel   — the Cordon Algorithm (Thm 3.2): sort pairs by
-//     (i asc, j desc); each round a tournament tree extracts the pairs on
-//     the cordon (prefix minima of the j keys), which are exactly the
-//     states with LCS value = round number.  O(L log n) work,
+//   * lcs_parallel   — the Cordon Algorithm (Thm 3.2): over the pairs in
+//     (i asc, j desc) order, each round a tournament tree extracts the
+//     pairs on the cordon (prefix minima of the j keys), which are exactly
+//     the states with LCS value = round number.  O(L log n) work,
 //     O(k log n) span where k is the LCS length.
 //
 // The pre-processing that finds match pairs is provided (and excluded
@@ -24,18 +24,18 @@
 
 namespace cordon::lcs {
 
+/// One link of a recovered LCS chain.
 struct MatchPair {
   std::uint32_t i;  // position in A
   std::uint32_t j;  // position in B
 };
 
-/// Match pairs stored struct-of-arrays: the two coordinate streams live
-/// in separate contiguous arrays, in the same (i asc, j desc) order as
-/// the AoS form.  This is the hot-path representation: the cordon rounds
-/// read ONLY the j stream (tournament keys) and the threshold scan of
-/// the sequential algorithm walks it linearly, so keeping j densely
-/// packed halves the bandwidth per probe versus interleaved {i, j}
-/// records.  The i stream is touched only by witness recovery.
+/// The match pairs, the one pair form every algorithm here consumes:
+/// struct-of-arrays, in (i asc, j desc) order.  The cordon rounds read
+/// ONLY the j stream (tournament keys) and the threshold scan of the
+/// sequential algorithm walks it linearly, so keeping j densely packed
+/// halves the bandwidth per probe versus interleaved {i, j} records.
+/// The i stream is touched only by witness recovery.
 struct MatchPairsSoA {
   std::vector<std::uint32_t> i, j;
 
@@ -43,13 +43,8 @@ struct MatchPairsSoA {
   [[nodiscard]] bool empty() const noexcept { return j.empty(); }
 };
 
-/// All (i, j) with a[i] == b[j], sorted by (i asc, j desc) — the order
-/// the cordon algorithm consumes.  |result| = L.
-[[nodiscard]] std::vector<MatchPair> match_pairs(
-    const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b);
-
-/// SoA variant of match_pairs — same pairs, same order, coordinate
-/// streams split.  The engine adapter and benches use this form.
+/// All (i, j) with a[i] == b[j], in (i asc, j desc) order — the order
+/// the cordon algorithm consumes.  size() = L.
 [[nodiscard]] MatchPairsSoA match_pairs_soa(
     const std::vector<std::uint32_t>& a, const std::vector<std::uint32_t>& b);
 
@@ -57,7 +52,7 @@ struct LcsResult {
   std::uint32_t length = 0;
   core::DpStats stats;
   /// For the sparse algorithms: dp[p] = LCS of prefixes (a[0..i_p],
-  /// b[0..j_p]) that *ends at* pair p, aligned with the match_pairs order.
+  /// b[0..j_p]) that *ends at* pair p, aligned with the pair order.
   std::vector<std::uint32_t> pair_dp;
   core::SolvePath path = core::SolvePath::kParallel;  // set by lcs_auto
 };
@@ -67,12 +62,10 @@ struct LcsResult {
                                   const std::vector<std::uint32_t>& b);
 
 /// Sparse sequential O(L log n) over pre-computed pairs.
-[[nodiscard]] LcsResult lcs_sparse_seq(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_sparse_seq(const MatchPairsSoA& pairs);
 
 /// Cordon Algorithm over pre-computed pairs (Thm 3.2).
 /// stats.rounds == LCS length.
-[[nodiscard]] LcsResult lcs_parallel(const std::vector<MatchPair>& pairs);
 [[nodiscard]] LcsResult lcs_parallel(const MatchPairsSoA& pairs);
 
 /// Production entry point: lcs_sparse_seq when effective parallelism is
@@ -85,17 +78,16 @@ struct LcsResult {
 /// One optimal chain of match pairs (an LCS witness), recovered from the
 /// per-pair DP values of either sparse algorithm.  Returned in chain
 /// order (increasing i and j); length == res.length.  O(L) scan.
-[[nodiscard]] std::vector<MatchPair> recover_chain(
-    const std::vector<MatchPair>& pairs, const LcsResult& res);
 [[nodiscard]] std::vector<MatchPair> recover_chain(const MatchPairsSoA& pairs,
                                                    const LcsResult& res);
 
 // --- append-resumable frontier (solve sessions) -----------------------------
 
 /// Positions of every symbol in the fixed reference sequence `b`
-/// (j ascending per symbol).  Immutable once built — session versions
-/// share one index behind a shared_ptr; growing `b` invalidates it and
-/// forces a cold re-solve (the restricted update model).
+/// (j ascending per symbol): the one index both match_pairs_soa and
+/// lcs_extend walk.  Immutable once built — session versions share one
+/// index behind a shared_ptr; growing `b` invalidates it and forces a
+/// cold re-solve (the restricted update model).
 struct BIndex {
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> where;
   std::size_t b_size = 0;
@@ -120,8 +112,9 @@ struct LcsFrontier {
   }
 };
 
-/// Feeds `count` appended `a` symbols through the frontier in place,
-/// emitting their match pairs against `index` in (i asc, j desc) order.
+/// Feeds `count` appended `a` symbols through the frontier in place:
+/// their match pairs against `index`, in (i asc, j desc) order, each
+/// through the threshold step of lcs_sparse_seq.
 void lcs_extend(LcsFrontier& f, const BIndex& index,
                 const std::uint32_t* a_suffix, std::size_t count,
                 core::DpStats& stats);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <limits>
 
+#include "src/core/cancel.hpp"
 #include "src/core/kernels.hpp"
 #include "src/core/trace.hpp"
-#include "src/parallel/primitives.hpp"
 #include "src/structures/tournament_tree.hpp"
 
 namespace cordon::lis {
@@ -27,60 +27,36 @@ LisResult lis_naive(const std::vector<std::uint64_t>& a) {
 
 namespace {
 
-// Fenwick tree over value ranks supporting prefix-max queries.
-class FenwickMax {
- public:
-  explicit FenwickMax(std::size_t n) : tree_(n + 1, 0) {}
-
-  void update(std::size_t i, std::uint32_t v) {
-    for (++i; i < tree_.size(); i += i & (~i + 1))
-      tree_[i] = std::max(tree_[i], v);
-  }
-
-  /// Max over ranks [0, i) — i.e., strictly smaller values.
-  [[nodiscard]] std::uint32_t prefix_max(std::size_t i) const {
-    std::uint32_t best = 0;
-    for (; i > 0; i -= i & (~i + 1)) best = std::max(best, tree_[i]);
-    return best;
-  }
-
- private:
-  std::vector<std::uint32_t> tree_;
-};
-
-// Dense ranks of a (equal values share a rank).
-std::vector<std::uint32_t> dense_ranks(const std::vector<std::uint64_t>& a) {
-  std::vector<std::uint64_t> sorted(a);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<std::uint32_t> rank(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    rank[i] = static_cast<std::uint32_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), a[i]) -
-        sorted.begin());
-  }
-  return rank;
+// One patience step [65]: v replaces the first tail >= v, or extends the
+// longest chain when every tail is smaller.  Returns that slot: v ends a
+// strictly increasing subsequence of length slot + 1, and no longer one.
+std::size_t patience_step(LisFrontier& f, std::uint64_t v,
+                          core::DpStats& stats) {
+  auto it = std::lower_bound(f.tails.begin(), f.tails.end(), v);
+  const auto slot = static_cast<std::size_t>(it - f.tails.begin());
+  if (it == f.tails.end())
+    f.tails.push_back(v);
+  else
+    *it = v;
+  ++f.consumed;
+  ++stats.states;
+  ++stats.relaxations;  // exactly one effective transition per state
+  return slot;
 }
 
 }  // namespace
 
 LisResult lis_sequential(const std::vector<std::uint64_t>& a) {
-  const std::size_t n = a.size();
   LisResult res;
-  res.dp.assign(n, 1);
-  std::vector<std::uint32_t> rank = dense_ranks(a);
-  FenwickMax fen(n);
+  res.dp.resize(a.size());
+  LisFrontier f;
   core::PollTicker poll;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
     poll.tick();
-    // Best decision: the max DP among strictly smaller values to the left.
-    std::uint32_t best = fen.prefix_max(rank[i]);
-    res.dp[i] = best + 1;
-    fen.update(rank[i], res.dp[i]);
-    ++res.stats.states;
-    ++res.stats.relaxations;  // exactly one effective transition per state
-    if (res.dp[i] > res.length) res.length = res.dp[i];
+    res.dp[i] =
+        static_cast<std::uint32_t>(patience_step(f, a[i], res.stats) + 1);
   }
+  res.length = f.length();
   return res;
 }
 
@@ -133,20 +109,8 @@ std::vector<std::size_t> lis_witness(const std::vector<std::uint64_t>& a,
 
 void lis_extend(LisFrontier& f, const std::uint64_t* values,
                 std::size_t count, core::DpStats& stats) {
-  for (std::size_t i = 0; i < count; ++i) {
-    std::uint64_t v = values[i];
-    // First tail >= v: v extends the chain of that length - 1 and
-    // becomes the new (strictly smaller or equal) tail; past-the-end
-    // means v extends the longest chain.
-    auto it = std::lower_bound(f.tails.begin(), f.tails.end(), v);
-    if (it == f.tails.end())
-      f.tails.push_back(v);
-    else
-      *it = v;
-    ++stats.states;
-    ++stats.relaxations;
-  }
-  f.consumed += count;
+  for (std::size_t i = 0; i < count; ++i)
+    patience_step(f, values[i], stats);
 }
 
 }  // namespace cordon::lis

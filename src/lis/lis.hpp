@@ -3,8 +3,9 @@
 // Three algorithms over one recurrence
 //   D[i] = max{1, max_{j<i, A[j]<A[i]} D[j] + 1}:
 //   * lis_naive       — the textbook O(n^2) evaluation (test oracle),
-//   * lis_sequential  — the optimized O(n log k) algorithm [65]: a
-//     Fenwick-tree prefix-max finds each state's best decision exactly,
+//   * lis_sequential  — the optimized O(n log k) algorithm [65]: patience
+//     sorting over the tails of the best chain of each length; element i
+//     lands in slot D[i] - 1, found by one binary search,
 //   * lis_parallel    — the Cordon Algorithm: each round extracts the
 //     prefix-minimum elements (the states whose tentative value cannot be
 //     improved) with a tournament tree; round r finalizes exactly the
@@ -28,8 +29,9 @@ struct LisResult {
 /// O(n^2) reference evaluation of the recurrence.
 [[nodiscard]] LisResult lis_naive(const std::vector<std::uint64_t>& a);
 
-/// Optimized sequential algorithm: O(n log n) with a Fenwick prefix-max
-/// over value ranks (the Γ whose parallelization Thm 3.1 analyzes).
+/// Optimized sequential algorithm [65]: the patience step over a
+/// LisFrontier, O(n log k) time and O(k) extra space (the Γ whose
+/// parallelization Thm 3.1 analyzes).  lis_extend runs the same step.
 [[nodiscard]] LisResult lis_sequential(const std::vector<std::uint64_t>& a);
 
 /// Cordon Algorithm with a tournament tree (Thm 3.1).
@@ -59,9 +61,9 @@ struct LisFrontier {
   }
 };
 
-/// Feeds `count` appended values through the frontier in place.
-/// O(count log LIS); stats counts one state and one relaxation per value
-/// (matching the sequential algorithm's accounting unit).
+/// Feeds `count` appended values through the frontier in place: the
+/// patience step of lis_sequential, without the per-state dp array.
+/// O(count log LIS); stats counts one state and one relaxation per value.
 void lis_extend(LisFrontier& f, const std::uint64_t* values,
                 std::size_t count, core::DpStats& stats);
 

@@ -22,7 +22,7 @@
 #include "src/core/trace.hpp"
 #include "src/oat/gw_list.hpp"
 #include "src/oat/oat.hpp"
-#include "src/parallel/primitives.hpp"
+#include "src/parallel/scheduler.hpp"
 
 namespace cordon::oat {
 

@@ -206,47 +206,54 @@ std::uint64_t CordonService::create_session(engine::Instance base) {
     throw std::invalid_argument("CordonService: unknown problem kind '" +
                                 base.kind + "'");
   telemetry::TraceSpan span("create_session", "service");
-
-  auto session = std::make_shared<Session>();
-  session->solver = solver;
-  // The journal stores the base as text, and the lineage hashes are
-  // seeded from that text's FNV-1a so journals stay replayable across
-  // builds; the cache pins the base under its binary key.
   const std::string base_text = engine::to_string(base);
-  session->base_hash = engine::fnv1a64(base_text);
-  session->chain_hash = session->base_hash;
-  session->base_key = engine::canonical_key(base);
-
-  // Base solve on the calling thread (adopting a pool slot so solver
-  // forks are stealable), checkpointing resumable state when the family
-  // has any.  Reference mode cross-checks with the oracle and never
-  // checkpoints: every append will cold-solve with the oracle too.
-  parallel::ExternalWorkerScope adopt;
-  engine::SolveResult result;
-  if (opt_.use_reference) {
-    result = solver->solve_reference(base);
-  } else {
-    result = solver->solve_checkpoint(base, session->state);
-  }
-  const std::uint64_t id = next_session_id_.fetch_add(1);
-  if (!opt_.journal_dir.empty()) {
+  auto create_journal = [&](Session& session) {
+    const std::uint64_t id = next_session_id_.fetch_add(1);
+    if (opt_.journal_dir.empty()) return id;
     // Durability before registration: either the base record is on disk
     // or create_session throws (SolveError{kInternal}) with no session,
     // no pinned cache entry, and no journal file left behind.
     try {
-      session->journal =
-          SessionJournal::create(opt_.journal_dir, id, base.kind, base_text);
+      session.journal = SessionJournal::create(
+          opt_.journal_dir, id, session.current.kind, base_text);
       journal_writes_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
       journal_errors_.fetch_add(1, std::memory_order_relaxed);
       throw;
     }
-  }
+    return id;
+  };
+  return open_session(*solver, std::move(base), base_text, create_journal);
+}
+
+std::uint64_t CordonService::open_session(
+    const engine::Solver& solver, engine::Instance base,
+    const std::string& base_text,
+    const std::function<std::uint64_t(Session&)>& bind) {
+  auto session = std::make_shared<Session>();
+  session->solver = &solver;
+  // The journal stores the base as text, and the lineage hashes are
+  // seeded from that text's FNV-1a so journals stay replayable across
+  // builds; the cache pins the base under its binary key.
+  session->base_hash = engine::fnv1a64(base_text);
+  session->chain_hash = session->base_hash;
+  session->base_key = engine::canonical_key(base);
+
+  // Base solve on the calling thread (adopting a pool slot so solver
+  // forks — and bind's journal replay — are stealable), checkpointing
+  // resumable state when the family has any.  Reference mode
+  // cross-checks with the oracle and never checkpoints: every append
+  // will cold-solve with the oracle too.
+  parallel::ExternalWorkerScope adopt;
+  engine::SolveResult result = opt_.use_reference
+                                   ? solver.solve_reference(base)
+                                   : solver.solve_checkpoint(base,
+                                                             session->state);
+  session->current = std::move(base);
+  const std::uint64_t id = bind(*session);
   if (cache_ != nullptr)
     cache_->put_pinned(session->base_key.hash, session->base_key.bytes,
                        result);
-  session->current = std::move(base);
-
   {
     std::lock_guard lock(sessions_mu_);
     sessions_.emplace(id, std::move(session));
@@ -439,10 +446,6 @@ std::vector<std::uint64_t> CordonService::recover() {
                    file.string().c_str(), error.c_str());
       continue;
     }
-    // Re-create the lineage through the NORMAL solve/append paths (the
-    // solvers are deterministic, so the recovered results are
-    // bit-identical to the uninterrupted run's); the journal itself is
-    // not re-written — the records already exist.
     engine::Instance base;
     try {
       base = engine::from_string(replay->base_text);
@@ -457,85 +460,76 @@ std::vector<std::uint64_t> CordonService::recover() {
                    file.string().c_str());
       continue;
     }
-    auto session = std::make_shared<Session>();
-    session->solver = solver;
-    session->base_hash = engine::fnv1a64(replay->base_text);
-    session->chain_hash = session->base_hash;
-    session->base_key = engine::canonical_key(base);
-    parallel::ExternalWorkerScope adopt;
-    engine::SolveResult base_result;
-    if (opt_.use_reference) {
-      base_result = solver->solve_reference(base);
-    } else {
-      base_result = solver->solve_checkpoint(base, session->state);
-    }
-    if (cache_ != nullptr)
-      cache_->put_pinned(session->base_key.hash, session->base_key.bytes,
-                         base_result);
-    session->current = std::move(base);
-    bool ok = true;
-    for (const SessionJournal::ReplayDelta& rd : replay->deltas) {
-      engine::Delta delta;
-      try {
-        delta = engine::delta_from_string(rd.text);
-        (void)append_locked(*session, delta, /*journal_write=*/false);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "cordon recover: %s: replay stopped at v%llu: %s\n",
-                     file.string().c_str(),
-                     static_cast<unsigned long long>(rd.version), e.what());
-        ok = false;
-        break;
+    // Re-create the lineage through the NORMAL solve/append paths (the
+    // solvers are deterministic, so the recovered results are
+    // bit-identical to the uninterrupted run's); the journal itself is
+    // not re-written — the records already exist.  The replay runs
+    // inside the bootstrap: after the base solve, before registration.
+    auto replay_journal = [&](Session& session) {
+      bool ok = true;
+      for (const SessionJournal::ReplayDelta& rd : replay->deltas) {
+        engine::Delta delta;
+        try {
+          delta = engine::delta_from_string(rd.text);
+          (void)append_locked(session, delta, /*journal_write=*/false);
+        } catch (const std::exception& e) {
+          std::fprintf(stderr,
+                       "cordon recover: %s: replay stopped at v%llu: %s\n",
+                       file.string().c_str(),
+                       static_cast<unsigned long long>(rd.version), e.what());
+          ok = false;
+          break;
+        }
+        if (session.version != rd.version ||
+            session.chain_hash != rd.chain_hash) {
+          std::fprintf(
+              stderr, "cordon recover: %s: lineage hash mismatch at v%llu\n",
+              file.string().c_str(),
+              static_cast<unsigned long long>(rd.version));
+          ok = false;
+          break;
+        }
       }
-      if (session->version != rd.version ||
-          session->chain_hash != rd.chain_hash) {
-        std::fprintf(stderr,
-                     "cordon recover: %s: lineage hash mismatch at v%llu\n",
-                     file.string().c_str(),
-                     static_cast<unsigned long long>(rd.version));
-        ok = false;
-        break;
+      if (!ok) {
+        // Keep what replayed cleanly but freeze the lineage: the journal
+        // holds records the in-memory session does not, so appending
+        // would fork history.
+        session.poisoned = true;
       }
-    }
-    if (!ok) {
-      // Keep what replayed cleanly but freeze the lineage: the journal
-      // holds records the in-memory session does not, so appending
-      // would fork history.
-      session->poisoned = true;
-    }
-    if (replay->truncated_tail && ok) {
-      // Drop the damaged half-record so the re-bound journal appends
-      // after the last whole one.
-      if (!SessionJournal::truncate_file(file.string(),
-                                         replay->valid_bytes)) {
-        std::fprintf(stderr, "cordon recover: %s: cannot drop damaged tail\n",
-                     file.string().c_str());
-        session->poisoned = true;
+      if (replay->truncated_tail && ok) {
+        // Drop the damaged half-record so the re-bound journal appends
+        // after the last whole one.
+        if (!SessionJournal::truncate_file(file.string(),
+                                           replay->valid_bytes)) {
+          std::fprintf(stderr,
+                       "cordon recover: %s: cannot drop damaged tail\n",
+                       file.string().c_str());
+          session.poisoned = true;
+        }
       }
-    }
-    if (!session->poisoned) {
-      // A journal that cannot be re-opened freezes the lineage like a
-      // failed write would; the session still registers, so its pinned
-      // base is released by close_session and later journals replay.
-      try {
-        session->journal = SessionJournal::open_existing(file.string());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "cordon recover: %s\n", e.what());
-        journal_errors_.fetch_add(1, std::memory_order_relaxed);
-        session->poisoned = true;
+      if (!session.poisoned) {
+        // A journal that cannot be re-opened freezes the lineage like a
+        // failed write would; the session still registers, so its pinned
+        // base is released by close_session and later journals replay.
+        try {
+          session.journal = SessionJournal::open_existing(file.string());
+        } catch (const std::exception& e) {
+          std::fprintf(stderr, "cordon recover: %s\n", e.what());
+          journal_errors_.fetch_add(1, std::memory_order_relaxed);
+          session.poisoned = true;
+        }
       }
-    }
-    // Same id as the original process: journals are the id authority.
-    const std::uint64_t id = replay->id;
-    // Keep fresh ids above every recovered one.
-    std::uint64_t next = next_session_id_.load();
-    while (next <= id && !next_session_id_.compare_exchange_weak(next, id + 1)) {
-    }
-    {
-      std::lock_guard lock(sessions_mu_);
-      sessions_.emplace(id, std::move(session));
-    }
-    telemetry::gauge_add(telemetry::Gauge::kServiceOpenSessions, 1);
-    sessions_created_.fetch_add(1, std::memory_order_relaxed);
+      // Same id as the original process: journals are the id authority.
+      // Keep fresh ids above every recovered one.
+      const std::uint64_t rid = replay->id;
+      std::uint64_t next = next_session_id_.load();
+      while (next <= rid &&
+             !next_session_id_.compare_exchange_weak(next, rid + 1)) {
+      }
+      return rid;
+    };
+    const std::uint64_t id = open_session(*solver, std::move(base),
+                                          replay->base_text, replay_journal);
     sessions_recovered_.fetch_add(1, std::memory_order_relaxed);
     recovered.push_back(id);
   }

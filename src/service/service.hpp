@@ -34,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -309,6 +310,17 @@ class CordonService {
       std::size_t queue_depth) const;
   engine::SolveResult append_locked(Session& s, const engine::Delta& delta,
                                     bool journal_write = true);
+  /// The session bootstrap of create_session and recover(): solves
+  /// `base` on the calling thread (checkpointing resumable state; the
+  /// oracle in reference mode), runs `bind` — which attaches the journal
+  /// and returns the session id — then pins the base result, registers
+  /// the session and counts it.  When `bind` throws, nothing is pinned or
+  /// registered.  `base_text` is the journal form of `base`; its FNV-1a
+  /// seeds the lineage hashes.
+  std::uint64_t open_session(
+      const engine::Solver& solver, engine::Instance base,
+      const std::string& base_text,
+      const std::function<std::uint64_t(Session&)>& bind);
 
   ServiceOptions opt_;
   const engine::ProblemRegistry& registry_;

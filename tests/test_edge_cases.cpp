@@ -3,7 +3,6 @@
 // contention.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -15,35 +14,32 @@
 #include "src/obst/obst.hpp"
 #include "src/parallel/primitives.hpp"
 #include "src/parallel/random.hpp"
-#include "src/parallel/sort.hpp"
 #include "test_util.hpp"
 
 namespace cp = cordon::parallel;
 
 // ---------------------------------------------------------------- scheduler
 TEST(Stress, MixedNestedWorkloads) {
-  // Irregular recursion: parallel sort inside parallel_for inside par_do,
-  // checking determinism of all results.
-  std::atomic<std::uint64_t> checksum{0};
-  cp::parallel_for(0, 32, [&](std::size_t t) {
-    std::vector<std::uint64_t> v(1000 + t * 37);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = cp::hash64(t, i);
-    cp::sort(v);
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) h = h * 31 + v[i] % 97;
-    checksum.fetch_add(h, std::memory_order_relaxed);
-  });
-  std::uint64_t first = checksum.load();
-  checksum.store(0);
-  cp::parallel_for(0, 32, [&](std::size_t t) {
-    std::vector<std::uint64_t> v(1000 + t * 37);
-    for (std::size_t i = 0; i < v.size(); ++i) v[i] = cp::hash64(t, i);
-    cp::sort(v);
-    std::uint64_t h = 0;
-    for (std::size_t i = 0; i < v.size(); ++i) h = h * 31 + v[i] % 97;
-    checksum.fetch_add(h, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(checksum.load(), first);
+  // Irregular recursion: a parallel reduce of a different size inside
+  // each iteration of a fully forked parallel_for, checking every result
+  // against its sequential sum and the run against a repeat.
+  auto run = [] {
+    std::vector<std::uint64_t> sums(32);
+    cp::parallel_for(0, sums.size(), [&](std::size_t t) {
+      sums[t] = cp::reduce(0, 1000 + t * 2477, [t](std::size_t i) {
+        return cp::hash64(t, i) % 97;
+      });
+    }, /*granularity=*/1);
+    return sums;
+  };
+  const std::vector<std::uint64_t> first = run();
+  for (std::size_t t = 0; t < first.size(); ++t) {
+    std::uint64_t expect = 0;
+    for (std::size_t i = 0; i < 1000 + t * 2477; ++i)
+      expect += cp::hash64(t, i) % 97;
+    ASSERT_EQ(first[t], expect) << t;
+  }
+  EXPECT_EQ(run(), first);
 }
 
 // --------------------------------------------------------------------- glws

@@ -56,7 +56,7 @@ TEST(Integration, DiffSizesViaSparseLcs) {
     file1[i] = static_cast<std::uint32_t>(cp::hash64(1, i) % 1000000);
   std::vector<std::uint32_t> file2 = file1;
   file2.erase(file2.begin() + 42);
-  auto pairs = cordon::lcs::match_pairs(file1, file2);
+  auto pairs = cordon::lcs::match_pairs_soa(file1, file2);
   auto res = cordon::lcs::lcs_parallel(pairs);
   EXPECT_EQ(res.length, 99u);
 }

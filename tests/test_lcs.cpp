@@ -36,7 +36,7 @@ TEST_P(LcsSweep, AllAlgorithmsAgree) {
   auto [n, m, alphabet, seed] = GetParam();
   auto a = random_string(n, seed, alphabet);
   auto b = random_string(m, seed ^ 0xf00d, alphabet);
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
   auto nv = lcs_naive(a, b);
   auto sv = lcs_sparse_seq(pairs);
   auto pv = lcs_parallel(pairs);
@@ -64,11 +64,11 @@ TEST(Lcs, PairDpEqualsPrefixLcs) {
   // and using it: check against the naive grid of each prefix pair.
   auto a = random_string(40, 77, 3);
   auto b = random_string(35, 99, 3);
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
   auto pv = lcs_parallel(pairs);
   for (std::size_t p = 0; p < pairs.size(); ++p) {
-    std::vector<std::uint32_t> ap(a.begin(), a.begin() + pairs[p].i + 1);
-    std::vector<std::uint32_t> bp(b.begin(), b.begin() + pairs[p].j + 1);
+    std::vector<std::uint32_t> ap(a.begin(), a.begin() + pairs.i[p] + 1);
+    std::vector<std::uint32_t> bp(b.begin(), b.begin() + pairs.j[p] + 1);
     // LCS ending *at* (i, j): both prefixes must end with the matched
     // symbol, so it equals LCS(ap, bp) when the last pair is used; the
     // DP value is <= LCS(ap, bp) and >= LCS(ap', bp') + 1 of the shorter
@@ -84,14 +84,14 @@ TEST(Lcs, PairDpEqualsPrefixLcs) {
 
 TEST(Lcs, IdenticalStrings) {
   auto a = random_string(200, 5, 4);
-  auto pairs = match_pairs(a, a);
+  auto pairs = match_pairs_soa(a, a);
   auto pv = lcs_parallel(pairs);
   EXPECT_EQ(pv.length, a.size());
 }
 
 TEST(Lcs, DisjointAlphabetsNoPairs) {
   std::vector<std::uint32_t> a{1, 2, 3}, b{4, 5, 6};
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
   EXPECT_TRUE(pairs.empty());
   EXPECT_EQ(lcs_parallel(pairs).length, 0u);
   EXPECT_EQ(lcs_naive(a, b).length, 0u);
@@ -101,19 +101,21 @@ TEST(Lcs, MatchPairsOrderInvariant) {
   // (i asc, j desc) — required by both sparse algorithms.
   auto a = random_string(100, 13, 3);
   auto b = random_string(80, 14, 3);
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
+  ASSERT_EQ(pairs.i.size(), pairs.j.size());
   for (std::size_t p = 1; p < pairs.size(); ++p) {
-    ASSERT_TRUE(pairs[p - 1].i < pairs[p].i ||
-                (pairs[p - 1].i == pairs[p].i && pairs[p - 1].j > pairs[p].j));
+    ASSERT_TRUE(pairs.i[p - 1] < pairs.i[p] ||
+                (pairs.i[p - 1] == pairs.i[p] && pairs.j[p - 1] > pairs.j[p]));
   }
-  for (const auto& pr : pairs) ASSERT_EQ(a[pr.i], b[pr.j]);
+  for (std::size_t p = 0; p < pairs.size(); ++p)
+    ASSERT_EQ(a[pairs.i[p]], b[pairs.j[p]]);
 }
 
 TEST(Lcs, RecoveredChainIsAValidWitness) {
   for (std::uint64_t seed : {1, 2, 3, 4}) {
     auto a = random_string(120, seed, 3);
     auto b = random_string(90, seed ^ 0xc0ffee, 3);
-    auto pairs = match_pairs(a, b);
+    auto pairs = match_pairs_soa(a, b);
     auto res = lcs_parallel(pairs);
     auto chain = recover_chain(pairs, res);
     ASSERT_EQ(chain.size(), res.length);
@@ -130,7 +132,7 @@ TEST(Lcs, RecoveredChainIsAValidWitness) {
 TEST(Lcs, RecoveredChainFromSequentialDpToo) {
   auto a = random_string(80, 9, 4);
   auto b = random_string(80, 10, 4);
-  auto pairs = match_pairs(a, b);
+  auto pairs = match_pairs_soa(a, b);
   auto res = lcs_sparse_seq(pairs);
   auto chain = recover_chain(pairs, res);
   EXPECT_EQ(chain.size(), res.length);
@@ -143,7 +145,7 @@ TEST(Lcs, LisReductionViaLcs) {
   std::vector<std::uint32_t> sorted(perm.size());
   for (std::uint32_t i = 0; i < sorted.size(); ++i) sorted[i] = i;
   std::vector<std::uint32_t> seq(perm.begin(), perm.end());
-  auto pairs = match_pairs(seq, sorted);
+  auto pairs = match_pairs_soa(seq, sorted);
   EXPECT_EQ(pairs.size(), perm.size());  // permutation: exactly n pairs
   auto pv = lcs_parallel(pairs);
   // Compare against LIS computed directly.

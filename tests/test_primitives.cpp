@@ -1,5 +1,6 @@
-// Property tests for the parallel primitives against their sequential
-// definitions, swept over sizes with parameterized gtest.
+// Property tests for the parallel reduce against its sequential
+// definition, swept over sizes with parameterized gtest, and for the
+// seeded random generators.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,7 +9,6 @@
 
 #include "src/parallel/primitives.hpp"
 #include "src/parallel/random.hpp"
-#include "src/parallel/sort.hpp"
 
 namespace cp = cordon::parallel;
 
@@ -19,73 +19,13 @@ TEST_P(PrimitiveSweep, ReduceMatchesAccumulate) {
   std::vector<std::uint64_t> v(n);
   for (std::size_t i = 0; i < n; ++i) v[i] = cp::hash64(1, i) % 1000;
   std::uint64_t expected = std::accumulate(v.begin(), v.end(), std::uint64_t{0});
-  EXPECT_EQ(cp::reduce_add(v), expected);
-}
-
-TEST_P(PrimitiveSweep, ScanMatchesPartialSums) {
-  const std::size_t n = GetParam();
-  std::vector<std::uint64_t> v(n), expect(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = cp::hash64(2, i) % 100;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    expect[i] = acc;
-    acc += v[i];
-  }
-  std::uint64_t total = cp::scan_add(v);
-  EXPECT_EQ(total, acc);
-  EXPECT_EQ(v, expect);
-}
-
-TEST_P(PrimitiveSweep, PackKeepsFlaggedInOrder) {
-  const std::size_t n = GetParam();
-  std::vector<std::uint32_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = static_cast<std::uint32_t>(i);
-  auto flag = [&](std::size_t i) { return cp::hash64(3, i) % 3 == 0; };
-  std::vector<std::uint32_t> expect;
-  for (std::size_t i = 0; i < n; ++i)
-    if (flag(i)) expect.push_back(v[i]);
-  EXPECT_EQ(cp::pack(v, flag), expect);
-}
-
-TEST_P(PrimitiveSweep, MinIndexIsLeftmostMinimum) {
-  const std::size_t n = GetParam();
-  if (n == 0) return;
-  std::vector<std::uint64_t> v(n);
-  for (std::size_t i = 0; i < n; ++i) v[i] = cp::hash64(4, i) % 50;
-  auto f = [&](std::size_t i) { return v[i]; };
-  std::size_t got = cp::min_index(0, n, f);
-  std::size_t expect =
-      static_cast<std::size_t>(std::min_element(v.begin(), v.end()) - v.begin());
-  EXPECT_EQ(got, expect);
-}
-
-TEST_P(PrimitiveSweep, SortMatchesStdStableSort) {
-  const std::size_t n = GetParam();
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> v(n);
-  for (std::size_t i = 0; i < n; ++i)
-    v[i] = {static_cast<std::uint32_t>(cp::hash64(5, i) % 64),
-            static_cast<std::uint32_t>(i)};
-  auto expect = v;
-  auto less = [](const auto& a, const auto& b) { return a.first < b.first; };
-  std::stable_sort(expect.begin(), expect.end(), less);
-  cp::sort(v, less);
-  EXPECT_EQ(v, expect);  // equality of second components checks stability
+  EXPECT_EQ(cp::reduce(0, n, [&](std::size_t i) { return v[i]; }),
+            expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, PrimitiveSweep,
                          ::testing::Values(0, 1, 2, 7, 100, 2048, 2049, 50000,
                                            100001));
-
-TEST(Primitives, TabulateIdentity) {
-  auto v = cp::tabulate(1000, [](std::size_t i) { return 3 * i; });
-  for (std::size_t i = 0; i < v.size(); ++i) ASSERT_EQ(v[i], 3 * i);
-}
-
-TEST(Primitives, FilterByValue) {
-  std::vector<int> v{5, 2, 8, 1, 9, 4};
-  auto out = cp::filter(v, [](int x) { return x >= 5; });
-  EXPECT_EQ(out, (std::vector<int>{5, 8, 9}));
-}
 
 TEST(Random, Hash64Deterministic) {
   EXPECT_EQ(cp::hash64(42, 7), cp::hash64(42, 7));
