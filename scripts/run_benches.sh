@@ -23,7 +23,8 @@
 #   CORDON_BENCH_BATCH    engine-batch queue length
 #   CORDON_BENCH_REPS     engine-batch repetitions
 #   BENCHES               override of the thread-swept bench list
-#   BENCHES_ONCE          override of the run-once bench list
+#   BENCHES_ONCE          override of the run-once bench list; set it
+#                         empty (BENCHES_ONCE="") to run none of them
 #
 # The build dir must have been configured with -DCORDON_BUILD_BENCH=ON
 # (Release recommended: cmake -B build-bench -S . -DCMAKE_BUILD_TYPE=Release
@@ -49,13 +50,16 @@ else
   if (( CORES > 8 )); then GRID="$GRID $CORES"; fi
 fi
 
-# Thread-swept set: the gated scaling families, lis (recorded for the
-# trajectory; check_scaling.py does not gate it) and the engine batch
-# path.  Run-once set: benches whose numbers don't vary with the pool
-# size in an interesting way (the service bench manages its own pool;
-# the incremental bench's resume path is per-append sequential work).
-BENCHES="${BENCHES:-bench_fig7_glws bench_fig6_lcs bench_gap bench_lis bench_engine_batch}"
-BENCHES_ONCE="${BENCHES_ONCE:-bench_service bench_incremental}"
+# Thread-swept set: the gated scaling families, lis and oat (recorded
+# for the trajectory; check_scaling.py gates neither) and the engine
+# batch path.  Run-once set: benches whose numbers don't vary with the
+# pool size in an interesting way (the service bench manages its own
+# pool; the incremental bench's resume path is per-append sequential
+# work; the wake bench measures park/wake latency and idle CPU at the
+# default pool).  BENCHES_ONCE uses `-`, not `:-`, so an empty value
+# disables the run-once list instead of restoring the default.
+BENCHES="${BENCHES:-bench_fig7_glws bench_fig6_lcs bench_gap bench_lis bench_oat bench_engine_batch}"
+BENCHES_ONCE="${BENCHES_ONCE-bench_service bench_incremental bench_sched_wake}"
 GAP_N="${CORDON_BENCH_GAP_N:-384}"
 
 if [[ ! -d "$BUILD_DIR" ]]; then

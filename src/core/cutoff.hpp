@@ -34,7 +34,7 @@ namespace cordon::core {
 
 /// The families with a sequential/parallel routing decision; indexes
 /// `kRoutes`.
-enum class Routed : std::uint8_t { kGlws, kLcs, kGap, kTreeGlws };
+enum class Routed : std::uint8_t { kGlws, kLcs, kGap, kTreeGlws, kLis };
 
 /// One family's routing row.  `seq_below` is in the family's own work
 /// unit (see each `*_auto` doc); `min_workers` is the worker count at
@@ -51,14 +51,20 @@ struct Route {
 /// come from the measured 1-thread overhead factor (BENCH_PR5/PR7
 /// baselines): glws pays ~2.3x (envelope rebuilds) so 4 workers
 /// suffice; lcs (~5.7x, tournament tree vs a threshold walk) and gap
-/// (~6x, staircase probing + row/column envelope merges) need 8.  Below
-/// the floor, routing sequentially IS the right production answer on
-/// that machine, not a concession.
-inline constexpr std::array<Route, 4> kRoutes{{
+/// (~6x, staircase probing + row/column envelope merges) need 8.  lis
+/// pays ~4x (tournament tree vs the O(n log k) patience loop: bench_lis,
+/// random input, 4-core box, read 0.062 s at 1 worker and 0.068 s at 4
+/// against 0.014 s sequential at n=200000, and 3.5x at n=4096), so it
+/// needs 8 as well; its size threshold matches lcs's, whose parallel
+/// path runs the same tournament-tree rounds.  Below the
+/// floor, routing sequentially IS the right production answer on that
+/// machine, not a concession.
+inline constexpr std::array<Route, 5> kRoutes{{
     {2048, 4},   // kGlws: n states
     {4096, 8},   // kLcs: matched pairs
     {16384, 8},  // kGap: dp cells
     {2048, 8},   // kTreeGlws: tree nodes
+    {4096, 8},   // kLis: n values
 }};
 
 [[nodiscard]] constexpr const Route& route_of(Routed family) noexcept {

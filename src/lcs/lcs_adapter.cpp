@@ -31,7 +31,9 @@ class LcsSolver final : public Solver {
     auto pairs = lcs::match_pairs_soa(p.a, p.b);
     auto r = lcs::lcs_auto(pairs);
     SolveResult out = pack(p, pairs.size(), r);
-    out.effective_depth = out.stats.rounds;  // rounds == LCS length (Thm 3.2)
+    // Thm 3.2: the DAG's effective depth is the LCS length (the parallel
+    // path's round count; the sequential route runs no rounds).
+    out.effective_depth = r.length;
     return out;
   }
 

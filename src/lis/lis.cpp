@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "src/core/cancel.hpp"
+#include "src/core/cutoff.hpp"
 #include "src/core/kernels.hpp"
 #include "src/core/trace.hpp"
 #include "src/structures/tournament_tree.hpp"
@@ -85,6 +86,12 @@ LisResult lis_parallel(const std::vector<std::uint64_t>& a) {
   }
   res.length = round;
   return res;
+}
+
+LisResult lis_auto(const std::vector<std::uint64_t>& a) {
+  return core::route(
+      core::Routed::kLis, a.size(), [&] { return lis_sequential(a); },
+      [&] { return lis_parallel(a); });
 }
 
 std::vector<std::size_t> lis_witness(const std::vector<std::uint64_t>& a,

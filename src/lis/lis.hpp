@@ -11,6 +11,7 @@
 //     improved) with a tournament tree; round r finalizes exactly the
 //     states with D = r.  Work O(n log k), span O(k log n); a perfect
 //     parallelization of the sequential algorithm.
+// lis_auto routes between the last two (core::kRoutes).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@ struct LisResult {
   std::vector<std::uint32_t> dp;  // D[i] = LIS length ending at i
   std::uint32_t length = 0;       // max D
   core::DpStats stats;
+  core::SolvePath path = core::SolvePath::kParallel;  // set by lis_auto
 };
 
 /// O(n^2) reference evaluation of the recurrence.
@@ -37,6 +39,12 @@ struct LisResult {
 /// Cordon Algorithm with a tournament tree (Thm 3.1).
 /// stats.rounds == LIS length (the perfect depth of the DP DAG).
 [[nodiscard]] LisResult lis_parallel(const std::vector<std::uint64_t>& a);
+
+/// Production entry point: lis_sequential when effective parallelism is
+/// below the worker floor or n is under the size threshold (the kLis row
+/// of core::kRoutes), lis_parallel otherwise.  The routing decision is
+/// recorded in LisResult::path; both fill the same dp.
+[[nodiscard]] LisResult lis_auto(const std::vector<std::uint64_t>& a);
 
 /// One longest strictly increasing subsequence (indices into `a`),
 /// reconstructed from per-state DP values in one backward scan.

@@ -23,11 +23,12 @@ class LisSolver final : public Solver {
 
   [[nodiscard]] SolveResult solve(const Instance& inst) const override {
     const auto& p = inst.as<LisInstance>();
-    auto r = lis::lis_parallel(p.values);
+    auto r = lis::lis_auto(p.values);
     SolveResult out = pack(p, r);
-    // Thm 3.1: round r finalizes exactly the states with D = r, so the
-    // observed rounds equal the DAG's (perfect) effective depth.
-    out.effective_depth = out.stats.rounds;
+    // Thm 3.1: the DAG's effective depth is the LIS length (on the
+    // parallel path, round r finalizes exactly the states with D = r).
+    out.effective_depth = r.length;
+    out.path = r.path;
     return out;
   }
 

@@ -24,6 +24,7 @@
 // weights of word size W (tests/bench A4 check this).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -53,6 +54,15 @@ struct OatResult {
 
 /// Phase-parallel all-locally-minimal-pairs rounds ([72] base scheme).
 [[nodiscard]] OatResult oat_parallel(const std::vector<double>& weights);
+
+/// Smallest chunk of oat_parallel's per-round marking pass worth a fork
+/// (its parallel_for granularity floor).  A pair costs ~1.7 ns (four
+/// weight loads through the snapshot, three adds, two compares; g++ -O2,
+/// x86_64) and a fork-join ~4.5 us (perfbench's sched.fork_join_us), so
+/// 4096 is the smallest power of two whose chunk outweighs the fork that
+/// exposes it.  Rounds of at most this many pairs — every round of the
+/// n <= 512 solves a session append runs — never touch the scheduler.
+inline constexpr std::size_t kOatMarkGrain = 4096;
 
 /// Phase 2: rebuilds an explicit alphabetic tree from leaf levels.
 /// Returns, for each of the n-1 internal nodes, its children as signed

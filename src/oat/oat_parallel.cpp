@@ -1,9 +1,10 @@
 // Phase-parallel OAT ([72] base scheme; Sec. 5.1 / Appendix A).
 //
 // Each round:
-//   1. snapshot the working list and compute all 2-sums,
-//   2. mark every locally minimal pair (strict on the left, non-strict on
-//      the right, so marked pairs are disjoint) — Larmore et al. prove
+//   1. snapshot the working list,
+//   2. mark every locally minimal pair by its 2-sum (strict on the left,
+//      non-strict on the right, so marked pairs are disjoint) — one
+//      parallel pass over the pairs; Larmore et al. prove
 //      combining any set of disjoint locally minimal pairs yields the
 //      same l-tree as sequential Garsia–Wachs,
 //   3. combine the marked pairs and reinsert each parent with the GW
@@ -37,8 +38,8 @@ OatResult oat_parallel(const std::vector<double>& weights) {
 
   detail::GwList list(weights);
   // Round scratch: snapshot/pending are reused push targets (high-water
-  // capacity retained); sums/marked are dense per-round arrays carved
-  // from the worker arena and rewound every round.
+  // capacity retained); marked is a dense per-round array carved from
+  // the worker arena and rewound every round.
   core::Arena& arena = core::worker_arena();
   core::ArenaScope scratch(arena);
   std::vector<std::uint32_t> snapshot;
@@ -114,16 +115,21 @@ OatResult oat_parallel(const std::vector<double>& weights) {
       }
     }
 
-    std::span<double> sums = arena.make_span<double>(m - 1);
-    parallel::parallel_for(0, m - 1, [&](std::size_t p) {
-      sums[p] = list.weight(snapshot[p]) + list.weight(snapshot[p + 1]);
-    });
+    // Each pair recomputes its neighbours' 2-sums: the same additions
+    // give the same doubles, so no separate sums pass is needed.
+    auto sum = [&](std::size_t p) {
+      return list.weight(snapshot[p]) + list.weight(snapshot[p + 1]);
+    };
     std::span<std::uint8_t> marked = arena.make_span<std::uint8_t>(m - 1);
-    parallel::parallel_for(0, m - 1, [&](std::size_t p) {
-      bool left_ok = p == 0 || sums[p] < sums[p - 1];
-      bool right_ok = p + 2 >= m || sums[p] <= sums[p + 1];
-      marked[p] = left_ok && right_ok;
-    });
+    parallel::parallel_for(
+        0, m - 1,
+        [&](std::size_t p) {
+          const double s = sum(p);
+          bool left_ok = p == 0 || s < sum(p - 1);
+          bool right_ok = p + 2 >= m || s <= sum(p + 1);
+          marked[p] = left_ok && right_ok;
+        },
+        0, kOatMarkGrain);
     res.stats.states += m;
 
     // First combine (unlink) every marked pair, then reinsert the new

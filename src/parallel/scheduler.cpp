@@ -457,12 +457,9 @@ bool adopt_external_worker() {
       t_worker_generation = p.generation;
       telemetry::count(telemetry::Counter::kSchedAdoptions);
       telemetry::trace_instant("adopt", "sched");
-      // The adopter is about to publish forks onto a fresh deque: give
-      // a parked worker a head start on stealing them.
-      // Chaos: delay (never drop) the wake to widen the park/wake race.
-      CORDON_FAULT_DELAY(core::fault::Site::kWorkerWake);
-      if (p.sleepers.notify_one())
-        telemetry::count(telemetry::Counter::kSchedWakes);
+      // No wake: adoption publishes nothing (the slot's deque is empty),
+      // and most adopters never fork.  The adopter's first push_job
+      // wakes a sleeper through the usual publish-then-wake path.
       return true;
     }
   }

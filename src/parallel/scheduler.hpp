@@ -31,12 +31,13 @@
 // phase, then parks on a shared eventcount; a join-waiter in wait_for
 // helps (steals and runs other jobs), backs off exponentially, and
 // finally parks on the target job's completion flag.  Every site that
-// publishes work — detail::push_job on the fork path, external-slot
-// adoption, and (transitively) the service dispatcher's batch dispatch
-// — wakes a sleeper after publishing, using the eventcount's
-// prepare/re-check/commit sequence so no wakeup can be lost between a
-// failed steal sweep and parking (see event_count.hpp for the
-// store-buffer argument).  Consequences callers may rely on:
+// publishes work — detail::push_job on the fork path and (transitively)
+// the service dispatcher's batch dispatch — wakes a sleeper after
+// publishing, using the eventcount's prepare/re-check/commit sequence so
+// no wakeup can be lost between a failed steal sweep and parking (see
+// event_count.hpp for the store-buffer argument).  External-slot
+// adoption publishes nothing and wakes nobody; the adopter's first
+// push_job wakes a sleeper.  Consequences callers may rely on:
 //   * An idle pool consumes no CPU: with no outstanding work every
 //     worker is parked in the OS (asserted by test_scheduler_stress and
 //     measured by bench_sched_wake).

@@ -125,12 +125,20 @@ TEST(Engine, DepthReportersAreConsistent) {
   // Families with perfect parallelizations certify effective depth ==
   // rounds; the dag solver computes d^(G) exactly and rounds can only be
   // bounded by it from below... (rounds <= depth for successful-relaxation
-  // sentinels, and >= 1).
+  // sentinels, and >= 1).  lis and lcs report their depth, the sequence
+  // length (Thms 3.1/3.2), on both routes; only the parallel route runs
+  // rounds, and then exactly that many.
   const auto& reg = ce::builtin_registry();
   for (const std::string& kind : {"lis", "lcs", "kglws"}) {
     ce::Instance inst = reg.at(kind).generate({120, 6, 9});
     ce::SolveResult r = reg.at(kind).solve(inst);
-    EXPECT_EQ(r.effective_depth, r.stats.rounds) << kind;
+    if (kind != "kglws")
+      EXPECT_EQ(r.effective_depth, static_cast<std::uint64_t>(r.objective))
+          << kind;
+    if (r.path == cordon::core::SolvePath::kParallel)
+      EXPECT_EQ(r.effective_depth, r.stats.rounds) << kind;
+    else
+      EXPECT_EQ(r.stats.rounds, 0u) << kind;
   }
   ce::Instance dag = reg.at("dag").generate({120, 6, 9});
   ce::SolveResult r = reg.at("dag").solve(dag);

@@ -1,4 +1,4 @@
-// LIS: naive / optimized-sequential / parallel agreement + Thm 3.1
+// LIS: naive / optimized-sequential / parallel / routed agreement + Thm 3.1
 // structural properties (rounds == LIS length, work bounds).
 #include <gtest/gtest.h>
 
@@ -30,6 +30,8 @@ TEST_P(LisSweep, AllThreeAlgorithmsAgreePerState) {
   EXPECT_EQ(nv.length, sv.length);
   EXPECT_EQ(nv.length, pv.length);
   ASSERT_EQ(nv.dp.size(), sv.dp.size());
+  // Whichever route it takes, the production entry fills the same dp.
+  EXPECT_EQ(cordon::lis::lis_auto(a).dp, nv.dp);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(nv.dp[i], sv.dp[i]) << i;
     ASSERT_EQ(nv.dp[i], pv.dp[i]) << i;

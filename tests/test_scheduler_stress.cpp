@@ -108,8 +108,8 @@ TEST(SchedulerStress, DeepNestingWithJoinParking) {
 
 TEST(SchedulerStress, AdoptWhileParked) {
   // External threads adopting a slot while every pool worker is parked:
-  // adoption + the forks it publishes must wake sleepers, and results
-  // must be exact.
+  // adoption itself wakes nobody, so the adopter's first push_job must
+  // wake a sleeper for its forks, and results must be exact.
   for (int round = 0; round < 6; ++round) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     std::thread outsider([] {

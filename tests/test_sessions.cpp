@@ -3,7 +3,8 @@
 // randomized append chains, transparent cold fallback for every
 // non-incremental family, checkpoint survival across pool restarts, and
 // the session bookkeeping surface (version lineage, pinned base cache
-// entries, stats/metrics counters).
+// entries, stats/metrics counters), and that appends leave a parked
+// pool parked.
 //
 // OWN_MAIN: the pool-restart tests call parallel::detail::shutdown_pool()
 // and parallel::set_num_workers() between cases, so this binary manages
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <future>
 #include <memory>
@@ -19,9 +21,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/dp_stats.hpp"
+#include "src/core/telemetry.hpp"
 #include "src/engine/delta.hpp"
 #include "src/engine/instance.hpp"
 #include "src/engine/registry.hpp"
@@ -507,6 +511,76 @@ TEST(Sessions, StatsAndMetricsDistinguishResumeFromCold) {
   svc.close_session(a);
   svc.close_session(b);
   EXPECT_EQ(svc.stats().sessions_closed, 2u);
+}
+
+// --- pool quiescence -------------------------------------------------------
+
+// An append that resumes from saved state, or cold-solves an instance
+// too small to fork, costs only its caller's thread: neither the slot
+// adoption every append makes nor the solve may wake a parked pool.
+TEST(Sessions, AppendsLeaveAParkedPoolParked) {
+  namespace tel = cordon::telemetry;
+  if (!tel::kEnabled) GTEST_SKIP() << "telemetry compiled out";
+  const auto& reg = ce::builtin_registry();
+  struct Case {
+    const char* kind;
+    std::uint64_t base, step;
+  };
+  constexpr std::size_t kAppends = 20;
+  struct Lineage {
+    ce::Instance full;
+    std::uint64_t base, step, id;
+    std::vector<double> want;  // oracle objective after append v
+  };
+  cs::CordonService svc({}, reg);
+  std::vector<Lineage> lineages;
+  for (Case c : {Case{"lis", 1000, 8}, Case{"lcs", 600, 8},
+                 Case{"glws", 1000, 8}, Case{"oat", 256, 1}}) {
+    const ce::Solver& solver = reg.at(c.kind);
+    Lineage l{solver.generate({c.base + kAppends * c.step, 4, 77}), c.base,
+              c.step, 0, {}};
+    for (std::size_t v = 1; v <= kAppends; ++v)
+      l.want.push_back(
+          solver.solve_reference(ce::prefix_instance(l.full, c.base + v * c.step))
+              .objective);
+    l.id = svc.create_session(ce::prefix_instance(l.full, c.base));
+    lineages.push_back(std::move(l));
+  }
+
+  // Let every pool worker park before the measured appends.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto parked = [] {
+    return tel::snapshot().gauge(tel::Gauge::kSchedParkedWorkers);
+  };
+  while (parked() != static_cast<std::int64_t>(cp::num_workers()) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(parked(), static_cast<std::int64_t>(cp::num_workers()));
+
+  const tel::Snapshot before = tel::snapshot();
+  std::vector<std::vector<double>> got(lineages.size());
+  for (std::size_t v = 0; v < kAppends; ++v)
+    for (std::size_t k = 0; k < lineages.size(); ++k) {
+      const Lineage& l = lineages[k];
+      got[k].push_back(
+          svc.append(l.id, ce::slice_delta(l.full, l.base + v * l.step,
+                                           l.base + (v + 1) * l.step, v))
+              .get()
+              .objective);
+    }
+  const tel::Snapshot delta = tel::snapshot().delta_since(before);
+  EXPECT_EQ(delta.counter(tel::Counter::kSchedWakes), 0u);
+  EXPECT_EQ(delta.counter(tel::Counter::kSchedParks), 0u);
+
+  for (std::size_t k = 0; k < lineages.size(); ++k) {
+    const Lineage& l = lineages[k];
+    ASSERT_EQ(got[k].size(), kAppends);
+    for (std::size_t v = 0; v < kAppends; ++v)
+      expect_objective_near(got[k][v], l.want[v],
+                            l.full.kind + " version " + std::to_string(v + 1));
+    svc.close_session(l.id);
+  }
 }
 
 int main(int argc, char** argv) {

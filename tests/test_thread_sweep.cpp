@@ -14,6 +14,7 @@
 // to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string_view>
@@ -90,6 +91,15 @@ const RoutedFamily kRoutedFamilies[] = {
        auto r =
            cordon::lcs::lcs_parallel(cordon::lcs::match_pairs_soa(p.a, p.b));
        return static_cast<double>(r.length);
+     }},
+    {"lis", core::Routed::kLis,
+     [](const engine::Instance& inst) {
+       return inst.as<engine::LisInstance>().values.size();
+     },
+     [](const engine::Instance& inst) {
+       return static_cast<double>(
+           cordon::lis::lis_parallel(inst.as<engine::LisInstance>().values)
+               .length);
      }},
     {"gap", core::Routed::kGap,
      [](const engine::Instance& inst) {
@@ -417,6 +427,41 @@ TEST(ThreadSweep, ParallelPathStatsArePinnedAtEveryPoolSize) {
           << p.name << " workers=" << workers;
       EXPECT_EQ(got.rounds, p.want.rounds) << p.name << " workers=" << workers;
     }
+  }
+}
+
+// oat_parallel's marking pass forks only in rounds of more than
+// kOatMarkGrain pairs.  Just below the grain (no fork), just above it
+// (one split), well above it, and on the two monotone shapes, it must
+// build exactly the l-tree sequential Garsia-Wachs builds.  Weights come
+// from a 2^20 range: with many equal 2-sums the two may pick different
+// (equally optimal) trees.
+TEST(ThreadSweep, OatMarkingPassMatchesGarsiaWachsAcrossItsGrain) {
+  const std::size_t g = cordon::oat::kOatMarkGrain;
+  auto weights = [](std::size_t n, std::uint64_t seed) {
+    std::vector<double> w;
+    for (std::uint64_t x : ct::random_values(n, seed, 1u << 20))
+      w.push_back(static_cast<double>(x + 1));
+    return w;
+  };
+  struct Input {
+    const char* name;
+    std::vector<double> w;
+  };
+  std::vector<Input> inputs = {{"below (n = grain)", weights(g, 41)},
+                               {"above (n = grain + 2)", weights(g + 2, 42)},
+                               {"n = 4 * grain", weights(4 * g, 43)}};
+  std::vector<double> sorted = weights(g + 2, 44);
+  std::sort(sorted.begin(), sorted.end());
+  inputs.push_back({"sorted", sorted});
+  std::reverse(sorted.begin(), sorted.end());
+  inputs.push_back({"reverse-sorted", sorted});
+  for (std::size_t workers : {1u, 4u}) {
+    restart_pool(workers);
+    for (const Input& in : inputs)
+      EXPECT_EQ(cordon::oat::oat_parallel(in.w).levels,
+                cordon::oat::oat_garsia_wachs(in.w).levels)
+          << in.name << " workers=" << workers;
   }
 }
 
